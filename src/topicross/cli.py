@@ -178,7 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = json.loads(Path(args.puzzle).read_text("utf-8"))
     pzl = puzzle.deserialize_puzzle(doc)
-    lex, _ = _load_index(args.lexicon, _load_table(args.table))
+    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table))
     report = puzzle.verify_puzzle(pzl, lex, args.target_rate)
     if report.ok:
         print("puzzle OK")

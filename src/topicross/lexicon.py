@@ -229,6 +229,8 @@ def read_lexicon_file(path: str | Path) -> list[RawRecord]:
                 raise LexiconParseError(str(path), lineno, f"bad JSON: {exc}") from exc
             if not isinstance(doc, dict) or "surface" not in doc:
                 raise LexiconParseError(str(path), lineno, "object with 'surface' required")
+            if not isinstance(doc["surface"], str) or not doc["surface"]:
+                raise LexiconParseError(str(path), lineno, "'surface' must be a non-empty string")
             source_name = doc.get("source", "filler")
             try:
                 source = Source(source_name)
@@ -311,10 +313,11 @@ class WordIndex:
     """Candidate retrieval by (length, position, letter) constraints.
 
     ``by_length[L]`` lists entries of length L in canonical candidate order:
-    topic entries first, then lexicographic by answer. ``by_constraint`` maps
-    ``(L, position, letter)`` to the positions (into ``by_length[L]``) of the
-    entries with that letter there, so the entry set for a constraint is
-    ``{by_length[L][i] for i in by_constraint[L, position, letter]}``.
+    topic entries first, then lexicographic by answer. An entry's position in
+    that tuple is its *rank*, and a set of length-L entries is an int mask
+    whose bit i stands for ``by_length[L][i]``. ``masks[L, position, letter]``
+    is the mask of the entries with that letter there; a query ANDs the masks
+    of its fixed letters and clears the bits of its ``excluded`` mask.
     """
 
     def __init__(self, lexicon: Lexicon):
@@ -322,85 +325,52 @@ class WordIndex:
         for entry in lexicon.entries:
             grouped.setdefault(len(entry.answer), []).append(entry)
         self.by_length: dict[int, tuple[LexiconEntry, ...]] = {}
-        self.by_constraint: dict[tuple[int, int, str], frozenset[int]] = {}
-        self._rank: dict[str, int] = {}
+        self.masks: dict[tuple[int, int, str], int] = {}
         for length, entries in grouped.items():
             entries.sort(key=lambda e: (e.source is not Source.TOPIC, e.answer))
             self.by_length[length] = tuple(entries)
-            sets: dict[tuple[int, int, str], set[int]] = {}
-            for pos_in_list, entry in enumerate(entries):
-                self._rank[entry.answer] = pos_in_list
-                for i, ch in enumerate(entry.answer):
-                    sets.setdefault((length, i, ch), set()).add(pos_in_list)
-            for key, members in sets.items():
-                self.by_constraint[key] = frozenset(members)
+            width = (len(entries) + 7) // 8
+            rows: dict[tuple[int, str], bytearray] = {}
+            for rank, entry in enumerate(entries):
+                byte, bit = rank >> 3, 1 << (rank & 7)
+                for key in enumerate(entry.answer):
+                    row = rows.get(key)
+                    if row is None:
+                        row = rows[key] = bytearray(width)
+                    row[byte] |= bit
+            for (position, letter), row in rows.items():
+                self.masks[length, position, letter] = int.from_bytes(row, "little")
 
-    def _intersect(
-        self, length: int, fixed: Iterable[tuple[int, str]]
-    ) -> frozenset[int] | None:
-        """Positions matching all fixed letters, or None for 'no constraints'."""
-        sets = []
+    def _match(self, length: int, fixed: Iterable[tuple[int, str]], excluded: int) -> int:
+        """Mask of the entries matching every fixed letter, minus ``excluded``."""
+        mask = -1  # all ones; still negative below when nothing is fixed
         for position, letter in fixed:
             if not 0 <= position < length:
                 raise ValueError(f"fixed position {position} outside word of length {length}")
-            members = self.by_constraint.get((length, position, letter))
-            if members is None:
-                return frozenset()
-            sets.append(members)
-        if not sets:
-            return None
-        sets.sort(key=len)
-        result = sets[0]
-        for members in sets[1:]:
-            result &= members
-            if not result:
-                break
-        return result
+            mask &= self.masks.get((length, position, letter), 0)
+        if mask < 0:
+            mask = (1 << len(self.by_length.get(length, ()))) - 1
+        return mask & ~excluded
 
     def candidates(
-        self,
-        length: int,
-        fixed: Iterable[tuple[int, str]] = (),
-        excluded: frozenset[str] | set[str] = frozenset(),
-    ) -> list[LexiconEntry]:
-        """Entries of the given length matching every fixed (position, letter)
-        and not in ``excluded``, in canonical order."""
-        pool = self.by_length.get(length, ())
-        matched = self._intersect(length, fixed)
-        if matched is None:
-            entries: Iterable[LexiconEntry] = pool
-        else:
-            entries = (pool[i] for i in sorted(matched))
-        if excluded:
-            return [e for e in entries if e.answer not in excluded]
-        return list(entries)
+        self, length: int, fixed: Iterable[tuple[int, str]] = (), excluded: int = 0
+    ) -> list[int]:
+        """Ranks of the matching entries not in ``excluded``, ascending (so in
+        canonical order)."""
+        bits = bin(self._match(length, fixed, excluded))[:1:-1]
+        ranks = []
+        i = bits.find("1")
+        while i >= 0:
+            ranks.append(i)
+            i = bits.find("1", i + 1)
+        return ranks
 
     def count_matches(
-        self,
-        length: int,
-        fixed: Sequence[tuple[int, str]] = (),
-        excluded: Iterable[str] = (),
+        self, length: int, fixed: Iterable[tuple[int, str]] = (), excluded: int = 0
     ) -> int:
         """Candidate count without materializing the list."""
-        pool = self.by_length.get(length, ())
-        matched = self._intersect(length, fixed)
-        count = len(pool) if matched is None else len(matched)
-        for answer in excluded:
-            if len(answer) != length or answer not in self._rank:
-                continue
-            if all(answer[pos] == ch for pos, ch in fixed):
-                count -= 1
-        return count
+        return self._match(length, fixed, excluded).bit_count()
 
 
 def build_index(lexicon: Lexicon) -> WordIndex:
     return WordIndex(lexicon)
-
-
-def candidates(
-    index: WordIndex,
-    length: int,
-    fixed: Iterable[tuple[int, str]] = (),
-    excluded: frozenset[str] | set[str] = frozenset(),
-) -> list[LexiconEntry]:
-    return index.candidates(length, fixed, excluded)

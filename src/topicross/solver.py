@@ -80,7 +80,7 @@ class FillState:
     assignment: dict[int, LexiconEntry] = field(default_factory=dict)
     cell_letters: dict[tuple[int, int], str] = field(default_factory=dict)
     topic_count: int = 0
-    used_answers: set[str] = field(default_factory=set)
+    used: dict[int, int] = field(default_factory=dict)  # length -> mask of placed ranks
     nodes_expanded: int = 0
 
 
@@ -142,7 +142,7 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
         if slot.slot_id in assigned:
             continue
         count = index.count_matches(
-            slot.length, _slot_constraints(state, slot), state.used_answers
+            slot.length, _slot_constraints(state, slot), state.used.get(slot.length, 0)
         )
         if best_count is None or count < best_count:
             best_count = count
@@ -164,13 +164,16 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
 
 def _ordered_candidates(
     index: WordIndex, slot: Slot, state: FillState, rng: Random | None
-) -> list[LexiconEntry]:
-    cands = index.candidates(slot.length, _slot_constraints(state, slot), state.used_answers)
+) -> list[int]:
+    cands = index.candidates(
+        slot.length, _slot_constraints(state, slot), state.used.get(slot.length, 0)
+    )
     if rng is not None and len(cands) > 1:
         # Reshuffle within the topic and filler groups; topic-first ordering
         # stays intact, only the lexicographic tie-break is randomized.
+        pool = index.by_length[slot.length]
         split = 0
-        while split < len(cands) and cands[split].source is Source.TOPIC:
+        while split < len(cands) and pool[cands[split]].source is Source.TOPIC:
             split += 1
         topic, filler = cands[:split], cands[split:]
         rng.shuffle(topic)
@@ -208,18 +211,20 @@ def _run_episode(
         if config.quota_pruning and not quota_feasible(state, total, config.target_rate):
             return False
         slot = slots[choose_next_slot(state, slotset, index)]
-        for entry in _ordered_candidates(index, slot, state, rng):
+        pool = index.by_length.get(slot.length, ())
+        for rank in _ordered_candidates(index, slot, state, rng):
             if budget is not None and state.nodes_expanded >= budget:
                 raise _EpisodeCut
             if deadline is not None and time.monotonic() > deadline:
                 raise _EpisodeCut
             state.nodes_expanded += 1
 
+            entry = pool[rank]
             state.assignment[slot.slot_id] = entry
             if entry.source is Source.TOPIC:
                 state.topic_count += 1
             if forbid:
-                state.used_answers.add(entry.answer)
+                state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
             new_cells = []
             letters = state.cell_letters
             for i, cell in enumerate(slot.cells):
@@ -233,7 +238,7 @@ def _run_episode(
             for cell in new_cells:
                 del letters[cell]
             if forbid:
-                state.used_answers.discard(entry.answer)
+                state.used[slot.length] ^= 1 << rank
             if entry.source is Source.TOPIC:
                 state.topic_count -= 1
             del state.assignment[slot.slot_id]
@@ -245,9 +250,10 @@ def _run_episode(
         return _CUT
 
 
-def run_with_restarts(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
-    """Run restart episodes until success, exhaustion, or the global limit.
+def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
+    """Fill every slot subject to the topic quota.
 
+    Runs restart episodes until success, exhaustion, or the global limit.
     Episode i gets its own random state derived from (seed, i). A non-random
     episode that exhausts its search space proves unsatisfiability
     (``EXHAUSTED``); with tie randomization the engine keeps restarting and
@@ -335,11 +341,6 @@ def run_with_restarts(slotset: SlotSet, index: WordIndex, config: SolverConfig) 
         nodes_expanded=nodes_total,
         config=config,
     )
-
-
-def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
-    """Fill every slot subject to the topic quota. See :func:`run_with_restarts`."""
-    return run_with_restarts(slotset, index, config)
 
 
 def maximize_topic_rate(

@@ -8,6 +8,7 @@ alphabet so letter collisions behave like a natural-language word pool.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import random
@@ -46,6 +47,11 @@ TREND_ALPHABET = "AEIOUKNRSTHM"
 TREND_WEIGHTS = [10, 8, 7, 6, 4, 5, 6, 6, 5, 7, 3, 3]
 TOPIC_LENGTHS = (2, 3, 3, 4, 4, 5)
 FILLER_LENGTHS = (2, 3, 4, 5, 6, 7)
+
+# sha256 of criterion 6's seeded puzzle JSON and sweep CSV. A change that
+# alters either output on purpose updates these and says why in CHANGES.md.
+CRITERION_6_PUZZLE_SHA256 = "c080cca8b35f1e1a4dd9d150629f150a5947ce2029e2cea5de689b4e3b9b949f"
+CRITERION_6_SWEEP_SHA256 = "413bece50e2fa7daea0ec3a0c4da683bd48582f6260e668907953cb5a93380b9"
 
 
 def criterion(number: int, description: str):
@@ -276,6 +282,7 @@ def test_criterion_6_cli_determinism(tmp_path):
     assert cli_main(generate_args + ["--out", str(a)]) == 0
     assert cli_main(generate_args + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == CRITERION_6_PUZZLE_SHA256
 
     sweep_args = [
         "sweep", "--size", "5x5", "--black-counts", "4,6",
@@ -288,6 +295,7 @@ def test_criterion_6_cli_determinism(tmp_path):
     assert cli_main(sweep_args + ["--out", str(c)]) == 0
     assert cli_main(sweep_args + ["--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
+    assert hashlib.sha256(c.read_bytes()).hexdigest() == CRITERION_6_SWEEP_SHA256
 
 
 @criterion(7, "pipeline emits exactly the expected keywords with leak-free clues")

@@ -81,6 +81,22 @@ class TestExitCodes:
         assert not out.exists()  # failed runs leave no partial output
         assert "failed" in capsys.readouterr().err
 
+    def test_non_string_surface(self, workdir, capsys):
+        bad = workdir / "bad.jsonl"
+        bad.write_text('{"surface": 5, "source": "topic"}\n', encoding="utf-8")
+        out = workdir / "never.json"
+        code = run(
+            [
+                "generate", "--size", "4x4", "--black", "2",
+                "--lexicon", bad, workdir / "filler.txt", "--out", out,
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:1: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPipelineCommands:
     def test_ingest_and_generate_and_verify_and_render(self, workdir, capsys):

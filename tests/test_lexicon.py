@@ -15,7 +15,6 @@ from topicross.lexicon import (
     TooShortError,
     UnmappableCharacterError,
     build_index,
-    candidates,
     ingest_lexicon,
     ingest_records,
     normalize,
@@ -157,9 +156,17 @@ class TestLexiconFiles:
         with pytest.raises(LexiconParseError) as err:
             read_lexicon_file(path)
         assert err.value.line == 1
-        path.write_text('{"surface": "x", "source": "weird"}\n', encoding="utf-8")
-        with pytest.raises(LexiconParseError):
-            read_lexicon_file(path)
+        for bad in (
+            '{"surface": "x", "source": "weird"}',
+            '{"surface": 5, "source": "topic"}',
+            '{"surface": ""}',
+            '{"surface": null}',
+        ):
+            path.write_text('{"surface": "ok"}\n' + bad + "\n", encoding="utf-8")
+            with pytest.raises(LexiconParseError) as err:
+                read_lexicon_file(path)
+            assert err.value.line == 2
+            assert str(err.value).startswith(f"{path}:2: ")
 
     def test_ingest_multiple_files(self, tmp_path):
         topic = tmp_path / "t.jsonl"
@@ -184,27 +191,65 @@ def naive_candidates(lexicon, length, fixed, excluded):
     return out
 
 
+def words_at(index, length, ranks):
+    return [index.by_length[length][r].answer for r in ranks]
+
+
+def excluded_mask(index, answers):
+    """Per-length ``excluded`` masks of a set of answers."""
+    masks = {}
+    for length, pool in index.by_length.items():
+        for rank, entry in enumerate(pool):
+            if entry.answer in answers:
+                masks[length] = masks.get(length, 0) | 1 << rank
+    return masks
+
+
 class TestWordIndex:
     def test_two_word_example(self):
         lexicon = lex([("AB", Source.FILLER, []), ("BA", Source.FILLER, [])])
         index = build_index(lexicon)
-        assert entry_words(index.candidates(2, [(0, "A")])) == ["AB"]
-        assert entry_words(index.candidates(2, [(1, "A")])) == ["BA"]
+        assert words_at(index, 2, index.candidates(2, [(0, "A")])) == ["AB"]
+        assert words_at(index, 2, index.candidates(2, [(1, "A")])) == ["BA"]
 
     def test_empty_lexicon(self):
         index = build_index(lex([]))
+        assert index.masks == {}
         assert index.candidates(3) == []
         assert index.count_matches(3) == 0
+        assert index.candidates(3, excluded=0b101) == []
 
     def test_single_word_every_position(self):
         index = build_index(lex([("AAA", Source.FILLER, [])]))
         for i in range(3):
-            assert entry_words(index.candidates(3, [(i, "A")])) == ["AAA"]
+            assert index.masks[3, i, "A"] == 1
+            assert words_at(index, 3, index.candidates(3, [(i, "A")])) == ["AAA"]
 
     def test_exclusion(self):
         lexicon = lex([("AB", Source.FILLER, []), ("BA", Source.FILLER, [])])
         index = build_index(lexicon)
-        assert entry_words(index.candidates(2, excluded={"AB"})) == ["BA"]
+        assert index.candidates(2, excluded=0b01) == [1]
+        assert index.candidates(2, excluded=0b10) == [0]
+        assert index.candidates(2, excluded=0b11) == []
+        assert index.count_matches(2, excluded=0b01) == 1
+        # excluding nothing, or bits past the top rank, changes nothing
+        assert index.candidates(2, excluded=0) == [0, 1]
+        assert index.candidates(2, excluded=0b100) == [0, 1]
+        # bit 0, the top rank and the empty result; 21 ranks span three bytes
+        words = sorted({f"{a}{b}" for a in "ABCDE" for b in "ABCDE"})[:21]
+        index = build_index(lex([(w, Source.FILLER, []) for w in words]))
+        top = len(words) - 1
+        assert index.by_length[2][0].answer == "AA"
+        assert index.candidates(2, [(0, "A"), (1, "A")]) == [0]
+        last = index.by_length[2][top].answer
+        assert index.candidates(2, [(0, last[0]), (1, last[1])]) == [top]
+        assert index.candidates(2) == list(range(top + 1))
+        assert index.count_matches(2) == top + 1
+        full = (1 << (top + 1)) - 1
+        assert index.candidates(2, excluded=full) == []
+        assert index.count_matches(2, excluded=full) == 0
+        assert index.candidates(2, excluded=full ^ 1 << top) == [top]
+        assert index.candidates(2, [(0, "Z")]) == []
 
     def test_topic_first_ordering(self):
         lexicon = lex(
@@ -215,23 +260,25 @@ class TestWordIndex:
             ]
         )
         index = build_index(lexicon)
-        assert entry_words(index.candidates(2)) == ["MM", "ZZ", "AA"]
+        assert words_at(index, 2, index.candidates(2)) == ["MM", "ZZ", "AA"]
 
     def test_invariants_against_definition(self):
         _, index = _random_lexicon_index(seed=11)
-        for (length, pos, letter), members in index.by_constraint.items():
+        for (length, pos, letter), mask in index.masks.items():
             pool = index.by_length[length]
-            entries = {pool[i] for i in members}
+            assert mask > 0 and mask.bit_length() <= len(pool)
+            entries = {pool[i] for i in range(len(pool)) if mask >> i & 1}
             assert entries == {
                 e for e in pool if e.answer[pos] == letter
             }
         for length, pool in index.by_length.items():
             for pos in range(length):
-                union = set()
-                for (lg, p, _), members in index.by_constraint.items():
+                union = 0
+                for (lg, p, _), mask in index.masks.items():
                     if lg == length and p == pos:
-                        union.update(members)
-                assert union == set(range(len(pool)))
+                        assert not union & mask  # one letter per position
+                        union |= mask
+                assert union == (1 << len(pool)) - 1
 
     def test_matches_naive_filter_on_random_queries(self):
         lexicon, index = _random_lexicon_index(seed=23)
@@ -244,10 +291,11 @@ class TestWordIndex:
                 for _ in range(rng.randint(0, 3))
             }
             excluded = set(rng.sample(answers, rng.randint(0, 3)))
+            mask = excluded_mask(index, excluded).get(length, 0)
             expected = naive_candidates(lexicon, length, fixed, excluded)
-            got = candidates(index, length, fixed, excluded)
+            got = [index.by_length[length][r] for r in index.candidates(length, fixed, mask)]
             assert got == expected
-            assert index.count_matches(length, sorted(fixed), excluded) == len(expected)
+            assert index.count_matches(length, sorted(fixed), mask) == len(expected)
 
     def test_bad_position_rejected(self):
         _, index = _random_lexicon_index(seed=1)

@@ -21,7 +21,6 @@ from topicross.solver import (
     maximize_topic_rate,
     quota_feasible,
     quota_needed,
-    run_with_restarts,
     solve,
 )
 
@@ -39,12 +38,11 @@ def lex_index(words):
     return lexicon, build_index(lexicon)
 
 
-def state_with(assignment=None, cell_letters=None, topic_count=0, used=None):
+def state_with(assignment=None, cell_letters=None, topic_count=0):
     return FillState(
         assignment=assignment or {},
         cell_letters=cell_letters or {},
         topic_count=topic_count,
-        used_answers=used or set(),
     )
 
 
@@ -84,6 +82,11 @@ class TestChooseNextSlot:
         # and with the letter on the other slot instead, the pick follows
         state = state_with(cell_letters={(0, 3): "Z"})
         assert choose_next_slot(state, slotset, index) == 1
+        # with AB..CD (ranks 0-5) placed elsewhere both slots keep only ZA,
+        # and the tie goes to the lowest id
+        state.used[2] = 0b111111
+        assert index.count_matches(2, [], state.used[2]) == 1
+        assert choose_next_slot(state, slotset, index) == 0
 
     def test_uniform_tie_breaks_to_lowest_id(self):
         _, index = lex_index(
@@ -177,7 +180,7 @@ class TestRestarts:
     def test_success_in_first_episode(self):
         _, index = lex_index([("AB", Source.TOPIC, ())])
         slotset = extract_slots(parse_pattern(".."))
-        result = run_with_restarts(slotset, index, SolverConfig(target_rate=0, seed=5))
+        result = solve(slotset, index, SolverConfig(target_rate=0, seed=5))
         assert result.success and result.restarts == 0
 
     def test_deterministic_episode_cap(self):
@@ -186,7 +189,7 @@ class TestRestarts:
         config = SolverConfig(
             target_rate=100, node_budget=1000, time_limit=30, restart_interval=10
         )
-        result = run_with_restarts(slotset, index, config)
+        result = solve(slotset, index, config)
         assert result.status is Status.TIMEOUT
         assert result.restarts + 1 == config.max_episodes == 3
 
@@ -194,7 +197,7 @@ class TestRestarts:
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
         slotset = extract_slots(parse_pattern("..\n.."))
         config = SolverConfig(target_rate=100, time_limit=30, restart_interval=10)
-        result = run_with_restarts(slotset, index, config)
+        result = solve(slotset, index, config)
         assert result.status is Status.TIMEOUT
         assert result.restarts <= 3
 
@@ -204,8 +207,8 @@ class TestRestarts:
         config = SolverConfig(
             target_rate=50, node_budget=300, time_limit=60, restart_interval=10, seed=123
         )
-        a = run_with_restarts(slotset, index, config)
-        b = run_with_restarts(slotset, index, config)
+        a = solve(slotset, index, config)
+        b = solve(slotset, index, config)
         assert a == b
 
     def test_unlimited_budget_with_randomization_terminates(self):
@@ -218,7 +221,7 @@ class TestRestarts:
             restart_interval=math.inf,
             randomize_ties=True,
         )
-        result = run_with_restarts(slotset, index, config)
+        result = solve(slotset, index, config)
         assert result.status is Status.EXHAUSTED
 
     def test_virtual_clock_bounds(self):
@@ -227,7 +230,7 @@ class TestRestarts:
         config = SolverConfig(
             target_rate=100, node_budget=1000, time_limit=30, restart_interval=10
         )
-        result = run_with_restarts(slotset, index, config)
+        result = solve(slotset, index, config)
         assert result.elapsed_ms <= 30_000 + 10_000
 
 

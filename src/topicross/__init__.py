@@ -6,7 +6,6 @@ then fill fixed grid patterns word by word under a topic-rate constraint.
 
 from .grid import (
     GridPattern,
-    PatternPolicy,
     Slot,
     SlotSet,
     extract_slots,
@@ -56,7 +55,6 @@ __all__ = [
     "Lexicon",
     "LexiconEntry",
     "NormalizationTable",
-    "PatternPolicy",
     "PreTaggedExtractor",
     "Puzzle",
     "Slot",

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import grid, harness, lexicon, pipeline, puzzle, solver
-from .util import atomic_write_text, derive_seed
+from .util import DataError, atomic_write_text, derive_seed
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -41,11 +41,6 @@ def _load_table(path: str | None) -> lexicon.NormalizationTable:
     if path is None:
         return lexicon.DEFAULT_TABLE
     return lexicon.NormalizationTable.from_json(json.loads(Path(path).read_text("utf-8")))
-
-
-def _load_index(paths: list[str], table: lexicon.NormalizationTable):
-    lex = lexicon.ingest_lexicon(paths, table)
-    return lex, lexicon.build_index(lex)
 
 
 def _solver_config(args: argparse.Namespace, target_rate: int) -> solver.SolverConfig:
@@ -118,7 +113,8 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     pattern = _resolve_pattern(args)
-    lex, index = _load_index(args.lexicon, _load_table(args.table))
+    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table))
+    index = lexicon.build_index(lex)
     slotset = grid.extract_slots(pattern)
     config = _solver_config(args, args.target_rate)
     if args.max_topic:
@@ -145,7 +141,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _, index = _load_index(args.lexicon, _load_table(args.table))
+    index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
     height, width = args.size
     config = harness.SweepConfig(
         height=height,
@@ -297,18 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except (DataError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except (ValueError, solver.InstanceTooLargeError) as exc:
-        if isinstance(
-            exc,
-            (
-                grid.PatternError,
-                lexicon.LexiconParseError,
-                harness.SchemaMismatchError,
-                json.JSONDecodeError,
-            ),
-        ):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, KeyError) as exc:

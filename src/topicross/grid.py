@@ -1,8 +1,9 @@
 """Crossword grid patterns: parsing, slot extraction, validation, random generation.
 
 A pattern is a fixed rectangle of black and white cells. Maximal white runs
-(length >= 2 by default) are the slots that receive answer words; a cell shared
-by an across and a down slot is a crossing where both answers must agree.
+of at least ``MIN_SLOT_LENGTH`` cells are the slots that receive answer words;
+a cell shared by an across and a down slot is a crossing where both answers
+must agree.
 """
 
 from __future__ import annotations
@@ -11,11 +12,14 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
+from .util import DataError
+
 BLACK = "#"
 WHITE = "."
+MIN_SLOT_LENGTH = 2
 
 
-class PatternError(ValueError):
+class PatternError(DataError):
     """Malformed pattern text."""
 
 
@@ -106,23 +110,6 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class PatternPolicy:
-    """Validity rules for patterns. Defaults allow two-letter words and
-    require every white cell to sit in at least one slot."""
-
-    min_slot_length: int = 2
-    forbid_isolated_white: bool = True
-    require_connected: bool = False
-
-    def __post_init__(self) -> None:
-        if self.min_slot_length < 2:
-            raise ValueError("min_slot_length must be >= 2")
-
-
-DEFAULT_POLICY = PatternPolicy()
-
-
-@dataclass(frozen=True)
 class SlotSet:
     """All slots of a pattern in canonical order, plus crossing structure.
 
@@ -195,7 +182,7 @@ def render_pattern_file(patterns: list[GridPattern]) -> str:
     return "\n\n".join(render_pattern(p) for p in patterns) + "\n"
 
 
-def _scan_runs(pattern: GridPattern, min_length: int) -> tuple[list, list]:
+def _scan_runs(pattern: GridPattern) -> tuple[list, list]:
     """Collect maximal white runs, split into across and down lists."""
     across = []
     for r in range(pattern.height):
@@ -207,7 +194,7 @@ def _scan_runs(pattern: GridPattern, min_length: int) -> tuple[list, list]:
             start = c
             while c < pattern.width and not pattern.is_black(r, c):
                 c += 1
-            if c - start >= min_length:
+            if c - start >= MIN_SLOT_LENGTH:
                 across.append(((r, start), tuple((r, j) for j in range(start, c))))
     down = []
     for c in range(pattern.width):
@@ -219,15 +206,15 @@ def _scan_runs(pattern: GridPattern, min_length: int) -> tuple[list, list]:
             start = r
             while r < pattern.height and not pattern.is_black(r, c):
                 r += 1
-            if r - start >= min_length:
+            if r - start >= MIN_SLOT_LENGTH:
                 down.append(((start, c), tuple((i, c) for i in range(start, r))))
     down.sort(key=lambda item: item[0])
     return across, down
 
 
-def extract_slots(pattern: GridPattern, policy: PatternPolicy = DEFAULT_POLICY) -> SlotSet:
+def extract_slots(pattern: GridPattern) -> SlotSet:
     """Extract all slots and crossings of a pattern in canonical order."""
-    across_runs, down_runs = _scan_runs(pattern, policy.min_slot_length)
+    across_runs, down_runs = _scan_runs(pattern)
 
     slots = []
     cell_to_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -270,31 +257,8 @@ def extract_slots(pattern: GridPattern, policy: PatternPolicy = DEFAULT_POLICY) 
     )
 
 
-def _white_components(pattern: GridPattern) -> list[list[tuple[int, int]]]:
-    whites = set(pattern.white_cells())
-    components = []
-    seen: set[tuple[int, int]] = set()
-    for cell in sorted(whites):
-        if cell in seen:
-            continue
-        stack = [cell]
-        seen.add(cell)
-        component = []
-        while stack:
-            r, c = stack.pop()
-            component.append((r, c))
-            for nxt in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                if nxt in whites and nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        components.append(sorted(component))
-    return components
-
-
-def validate_pattern(
-    pattern: GridPattern, policy: PatternPolicy = DEFAULT_POLICY
-) -> ValidationReport:
-    """Check a pattern against the policy; an empty violation list means valid."""
+def validate_pattern(pattern: GridPattern) -> ValidationReport:
+    """Check that every white cell lies in a slot; an empty violation list means valid."""
     violations = []
     whites = pattern.white_cells()
     if not whites:
@@ -303,31 +267,17 @@ def validate_pattern(
         )
         return ValidationReport(violations=tuple(violations))
 
-    if policy.forbid_isolated_white:
-        slotset = extract_slots(pattern, policy)
-        uncovered = [cell for cell in whites if cell not in slotset.cell_to_slots]
-        for cell in uncovered:
-            violations.append(
-                Violation(
-                    kind="isolated-white",
-                    cells=(cell,),
-                    message=f"white cell {cell} belongs to no slot of length >= "
-                    f"{policy.min_slot_length}",
-                )
+    slotset = extract_slots(pattern)
+    uncovered = [cell for cell in whites if cell not in slotset.cell_to_slots]
+    for cell in uncovered:
+        violations.append(
+            Violation(
+                kind="isolated-white",
+                cells=(cell,),
+                message=f"white cell {cell} belongs to no slot of length >= "
+                f"{MIN_SLOT_LENGTH}",
             )
-
-    if policy.require_connected:
-        components = _white_components(pattern)
-        if len(components) > 1:
-            components.sort(key=len, reverse=True)
-            stray = tuple(cell for comp in components[1:] for cell in comp)
-            violations.append(
-                Violation(
-                    kind="disconnected",
-                    cells=stray,
-                    message=f"white region splits into {len(components)} components",
-                )
-            )
+        )
 
     return ValidationReport(violations=tuple(violations))
 
@@ -337,7 +287,6 @@ def generate_random_patterns(
     width: int,
     n_black: int,
     count: int,
-    policy: PatternPolicy = DEFAULT_POLICY,
     seed: int = 0,
     max_attempts: int = 100_000,
 ) -> list[GridPattern]:
@@ -377,6 +326,6 @@ def generate_random_patterns(
             cells=cells,
             pattern_id=f"{height}x{width}-b{n_black}-{len(out):03d}",
         )
-        if validate_pattern(pattern, policy).is_valid:
+        if validate_pattern(pattern).is_valid:
             out.append(pattern)
     return out

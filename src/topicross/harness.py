@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
-from .grid import GridPattern, PatternPolicy, DEFAULT_POLICY, extract_slots, generate_random_patterns
+from .grid import GridPattern, extract_slots, generate_random_patterns
 from .lexicon import WordIndex
 from .solver import SolverConfig, solve
-from .util import atomic_write_text, derive_seed
+from .util import DataError, atomic_write_text, derive_seed
 
 CSV_HEADER = [
     "pattern_id",
@@ -36,7 +36,7 @@ CSV_HEADER = [
 ]
 
 
-class SchemaMismatchError(ValueError):
+class SchemaMismatchError(DataError):
     pass
 
 
@@ -55,7 +55,6 @@ class SweepConfig:
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
     early_stop: bool = True
-    pattern_policy: PatternPolicy = DEFAULT_POLICY
 
     def __post_init__(self) -> None:
         if not self.t_values or not self.black_counts:
@@ -83,7 +82,7 @@ def _sweep_pattern(
     pattern: GridPattern, config: SweepConfig, index: WordIndex
 ) -> list[ExperimentRecord]:
     """All records for one pattern, walking target rates from low to high."""
-    slotset = extract_slots(pattern, config.pattern_policy)
+    slotset = extract_slots(pattern)
     n_black = pattern.n_black
     records = []
     for t in sorted(set(config.t_values)):
@@ -138,7 +137,6 @@ def default_sweep_patterns(config: SweepConfig) -> list[GridPattern]:
                 config.width,
                 n_black,
                 config.patterns_per_count,
-                policy=config.pattern_policy,
                 seed=derive_seed(config.seed, "patterns", n_black),
             )
         )
@@ -207,6 +205,17 @@ class SweepSummary:
         }
 
 
+def _group(records: Sequence[ExperimentRecord], n_cells: int) -> GroupSummary:
+    """Successes and success-time quantiles of ``records`` over ``n_cells`` cells."""
+    times = [r.time_ms for r in records if r.success]
+    return GroupSummary(
+        n_cells=n_cells,
+        successes=len(times),
+        probability=len(times) / n_cells,
+        time_ms=five_number(times) if times else None,
+    )
+
+
 def summarize(records: Sequence[ExperimentRecord]) -> SweepSummary:
     """Success probability and generation-time quantiles per target rate and
     per black-cell count.
@@ -218,32 +227,14 @@ def summarize(records: Sequence[ExperimentRecord]) -> SweepSummary:
     if not records:
         raise EmptyInputError("no records to summarize")
 
-    all_cells = {(r.pattern_id, r.trial) for r in records}
-
-    by_rate: dict[int, GroupSummary] = {}
+    n_cells = len({(r.pattern_id, r.trial) for r in records})
+    by_rate = {}
     for t in sorted({r.t for r in records}):
-        recs = [r for r in records if r.t == t]
-        times = [r.time_ms for r in recs if r.success]
-        successes = len(times)
-        by_rate[t] = GroupSummary(
-            n_cells=len(all_cells),
-            successes=successes,
-            probability=successes / len(all_cells),
-            time_ms=five_number(times) if times else None,
-        )
-
-    by_black: dict[int, GroupSummary] = {}
+        by_rate[t] = _group([r for r in records if r.t == t], n_cells)
+    by_black = {}
     for n_black in sorted({r.n_black for r in records}):
         recs = [r for r in records if r.n_black == n_black]
-        times = [r.time_ms for r in recs if r.success]
-        successes = len(times)
-        by_black[n_black] = GroupSummary(
-            n_cells=len(recs),
-            successes=successes,
-            probability=successes / len(recs),
-            time_ms=five_number(times) if times else None,
-        )
-
+        by_black[n_black] = _group(recs, len(recs))
     return SweepSummary(by_target_rate=by_rate, by_black_count=by_black)
 
 

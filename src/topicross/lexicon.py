@@ -14,6 +14,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from .util import DataError, json_field
+
 
 class Source(Enum):
     TOPIC = "topic"
@@ -33,7 +35,7 @@ class TooShortError(ValueError):
     """Normalization left fewer than two grid characters."""
 
 
-class LexiconParseError(ValueError):
+class LexiconParseError(DataError):
     def __init__(self, path: str, line: int, reason: str):
         super().__init__(f"{path}:{line}: {reason}")
         self.path = path
@@ -93,8 +95,16 @@ class NormalizationTable:
         return {"mappings": dict(sorted(self.mappings.items())), "drop_policy": self.drop_policy}
 
     @classmethod
-    def from_json(cls, doc: dict) -> NormalizationTable:
-        return cls(mappings=dict(doc["mappings"]), drop_policy=doc.get("drop_policy", SKIP))
+    def from_json(cls, doc: object) -> NormalizationTable:
+        """Inverse of :meth:`to_json`; raises :class:`DataError` on a malformed document."""
+        where = "normalization table"
+        mappings = json_field(doc, "mappings", dict, where)
+        if not all(isinstance(value, str) for value in mappings.values()):
+            raise DataError(f"{where}: every 'mappings' value must be a string")
+        drop_policy = json_field(doc, "drop_policy", str, where, SKIP)
+        if drop_policy not in (REJECT, SKIP):
+            raise DataError(f"{where}: 'drop_policy' must be {REJECT!r} or {SKIP!r}")
+        return cls(mappings=dict(mappings), drop_policy=drop_policy)
 
 
 def _build_default_latin() -> NormalizationTable:
@@ -192,12 +202,6 @@ class Lexicon:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def counts(self) -> tuple[int, int]:
-        """(topic, filler) entry totals."""
-        topic = sum(1 for e in self.entries if e.source is Source.TOPIC)
-        return topic, len(self.entries) - topic
 
 
 @dataclass(frozen=True)

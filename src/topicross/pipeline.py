@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .lexicon import NormalizationTable, DEFAULT_TABLE, normalize
+from .util import DataError, json_field
 
 DEFAULT_MASK = "[Answer]"
 DEFAULT_TERMINATORS = frozenset(".!?。！？")
@@ -23,7 +24,7 @@ class ExtractorUnavailableError(RuntimeError):
     pass
 
 
-class OffsetOutOfRangeError(ValueError):
+class OffsetOutOfRangeError(DataError):
     pass
 
 
@@ -280,21 +281,33 @@ def build_topic_lexicon(
 
 
 def read_corpus_jsonl(path: str | Path) -> list[Document]:
-    """Read a corpus file: one {"doc_id", "text", "keywords"?} object per line."""
+    """Read a corpus file: one {"doc_id", "text", "keywords"?} object per line.
+
+    Raises :class:`DataError` with ``path:line`` on a line that is not such an
+    object or has a field of the wrong type.
+    """
     docs = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-        keywords = None
-        if "keywords" in doc:
-            keywords = tuple((k["surface"], k["start"], k["end"]) for k in doc["keywords"])
-        docs.append(
-            Document(doc_id=str(doc["doc_id"]), text=doc["text"], pre_tagged_keywords=keywords)
-        )
+            raise DataError(f"{where}: bad JSON: {exc}") from exc
+        doc_id = json_field(doc, "doc_id", (str, int), where)
+        text = json_field(doc, "text", str, where)
+        keywords = json_field(doc, "keywords", list, where, None)
+        if keywords is not None:
+            keywords = tuple(
+                (
+                    json_field(k, "surface", str, where),
+                    json_field(k, "start", int, where),
+                    json_field(k, "end", int, where),
+                )
+                for k in keywords
+            )
+        docs.append(Document(doc_id=str(doc_id), text=text, pre_tagged_keywords=keywords))
     return docs
 
 

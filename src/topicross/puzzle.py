@@ -9,7 +9,7 @@ from random import Random
 from .grid import GridPattern, Orientation, SlotSet, extract_slots, parse_pattern
 from .lexicon import Lexicon, Source
 from .solver import FillResult, SolverConfig
-from .util import derive_seed
+from .util import DataError, derive_seed, json_field
 
 GENERATOR_VERSION = "0.1.0"
 PLACEHOLDER_CLUE = "Define: {surface}"
@@ -238,33 +238,50 @@ def puzzle_to_json(puzzle: Puzzle, include_solution: bool = True) -> str:
     )
 
 
-def deserialize_puzzle(doc: dict) -> Puzzle:
-    """Inverse of :func:`serialize_puzzle` for documents that include the solution."""
-    pattern = parse_pattern(doc["pattern"], pattern_id=doc.get("pattern_id", ""))
+def _enum_field(cls, doc: object, key: str, where: str):
+    value = json_field(doc, key, str, where)
+    try:
+        return cls(value)
+    except ValueError:
+        raise DataError(f"{where}: unknown {key} {value!r}") from None
+
+
+def deserialize_puzzle(doc: object) -> Puzzle:
+    """Inverse of :func:`serialize_puzzle` for documents that include the solution.
+
+    Raises :class:`DataError` when a field is missing or has the wrong type.
+    """
+    pattern = parse_pattern(
+        json_field(doc, "pattern", str, "puzzle"),
+        pattern_id=json_field(doc, "pattern_id", str, "puzzle", ""),
+    )
     entries = []
-    for e in doc["entries"]:
-        if "answer" not in e:
-            raise ValueError("solution-free puzzle documents cannot be deserialized")
+    for i, e in enumerate(json_field(doc, "entries", list, "puzzle")):
+        where = f"puzzle entry {i}"
+        if isinstance(e, dict) and "answer" not in e:
+            raise DataError("solution-free puzzle documents cannot be deserialized")
+        answer = json_field(e, "answer", str, where)
         entries.append(
             PuzzleEntry(
-                slot_id=e["slot_id"],
-                orientation=Orientation(e["orientation"]),
-                row=e["row"],
-                col=e["col"],
-                answer=e["answer"],
-                surface=e.get("surface", e["answer"]),
-                source=Source(e["source"]),
-                clue=e["clue"],
+                slot_id=json_field(e, "slot_id", int, where),
+                orientation=_enum_field(Orientation, e, "orientation", where),
+                row=json_field(e, "row", int, where),
+                col=json_field(e, "col", int, where),
+                answer=answer,
+                surface=json_field(e, "surface", str, where, answer),
+                source=_enum_field(Source, e, "source", where),
+                clue=json_field(e, "clue", str, where),
             )
         )
-    md = doc["metadata"]
+    md = json_field(doc, "metadata", dict, "puzzle")
+    where = "puzzle metadata"
     metadata = PuzzleMetadata(
-        target_rate=md["target_rate"],
-        achieved_topic_ratio=md["achieved_topic_ratio"],
-        seed=md["seed"],
-        elapsed_ms=md["elapsed_ms"],
-        restarts=md["restarts"],
-        generator_version=md.get("generator_version", GENERATOR_VERSION),
+        target_rate=json_field(md, "target_rate", int, where),
+        achieved_topic_ratio=json_field(md, "achieved_topic_ratio", (int, float), where),
+        seed=json_field(md, "seed", int, where),
+        elapsed_ms=json_field(md, "elapsed_ms", int, where),
+        restarts=json_field(md, "restarts", int, where),
+        generator_version=json_field(md, "generator_version", str, where, GENERATOR_VERSION),
     )
     return Puzzle(pattern=pattern, entries=tuple(entries), metadata=metadata)
 

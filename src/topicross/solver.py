@@ -52,9 +52,7 @@ class SolverConfig:
     restart_interval: float = 10.0
     node_budget: int | None = None
     seed: int = 0
-    forbid_duplicate_answers: bool = True
     randomize_ties: bool = True
-    quota_pruning: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.target_rate <= 100:
@@ -97,16 +95,6 @@ class FillResult:
     @property
     def success(self) -> bool:
         return self.status is Status.SUCCESS
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "achieved_topic_ratio": self.achieved_topic_ratio,
-            "elapsed_ms": self.elapsed_ms,
-            "restarts": self.restarts,
-            "nodes_expanded": self.nodes_expanded,
-            "assignment": {str(k): v for k, v in sorted(self.assignment.items())},
-        }
 
 
 def quota_needed(total_slots: int, target_rate: int) -> int:
@@ -202,13 +190,12 @@ def _run_episode(
     total = len(slotset.slots)
     need = quota_needed(total, config.target_rate)
     budget = config.node_budget
-    forbid = config.forbid_duplicate_answers
     slots = slotset.slots
 
     def dfs() -> bool:
         if len(state.assignment) == total:
             return state.topic_count >= need
-        if config.quota_pruning and not quota_feasible(state, total, config.target_rate):
+        if not quota_feasible(state, total, config.target_rate):
             return False
         slot = slots[choose_next_slot(state, slotset, index)]
         pool = index.by_length.get(slot.length, ())
@@ -223,8 +210,7 @@ def _run_episode(
             state.assignment[slot.slot_id] = entry
             if entry.source is Source.TOPIC:
                 state.topic_count += 1
-            if forbid:
-                state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
+            state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
             new_cells = []
             letters = state.cell_letters
             for i, cell in enumerate(slot.cells):
@@ -237,8 +223,7 @@ def _run_episode(
 
             for cell in new_cells:
                 del letters[cell]
-            if forbid:
-                state.used[slot.length] ^= 1 << rank
+            state.used[slot.length] ^= 1 << rank
             if entry.source is Source.TOPIC:
                 state.topic_count -= 1
             del state.assignment[slot.slot_id]
@@ -343,23 +328,30 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     )
 
 
-def maximize_topic_rate(
-    slotset: SlotSet, index: WordIndex, config: SolverConfig, step: int = 10
-) -> FillResult:
+RATE_STEP = 10
+
+
+def maximize_topic_rate(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
     """Anytime topic-rate maximization.
 
-    Solves at the configured rate, then keeps re-solving with the target
-    raised just above the achieved ratio until a solve fails or the target
-    passes 100. Returns the best success (or the first failure when nothing
-    succeeds). Total wall time stays within ``config.time_limit``.
+    Solves once with ``config`` as given, then keeps re-solving with the
+    target raised ``RATE_STEP`` points above the achieved ratio until a solve
+    fails or the target passes 100. Returns the best success (or the first
+    failure when nothing succeeds). Later solves get only the wall time left,
+    so the total stays within ``config.time_limit``.
     """
     total = len(slotset.slots)
     started = time.monotonic()
     deterministic = config.node_budget is not None
     best: FillResult | None = None
-    first_failure: FillResult | None = None
     rate = config.target_rate
-    while rate <= 100:
+    result = solve(slotset, index, config)
+    while result.success:
+        best = result
+        achieved_percent = round(result.achieved_topic_ratio * 100)
+        rate = max(rate, achieved_percent) + RATE_STEP
+        if total == 0 or rate > 100:
+            break
         if deterministic:
             sub = replace(config, target_rate=rate)
         else:
@@ -373,19 +365,7 @@ def maximize_topic_rate(
                 restart_interval=min(config.restart_interval, remaining),
             )
         result = solve(slotset, index, sub)
-        if not result.success:
-            first_failure = first_failure or result
-            break
-        best = result
-        if total == 0:
-            break
-        achieved_percent = round(result.achieved_topic_ratio * 100)
-        rate = max(rate + step, achieved_percent + step)
-    if best is not None:
-        return best
-    if first_failure is not None:
-        return first_failure
-    return solve(slotset, index, config)
+    return result if best is None else best
 
 
 @dataclass(frozen=True)
@@ -398,7 +378,6 @@ def brute_force_solve(
     slotset: SlotSet,
     index: WordIndex,
     target_rate: int,
-    forbid_duplicate_answers: bool = True,
     attempt_cap: int = 10_000_000,
 ) -> BruteForceResult:
     """Exhaustive oracle: enumerate per-slot candidates in canonical order.
@@ -431,7 +410,7 @@ def brute_force_solve(
             attempts += 1
             if attempts > attempt_cap:
                 raise InstanceTooLargeError(f"exceeded {attempt_cap} placement attempts")
-            if forbid_duplicate_answers and entry.answer in used:
+            if entry.answer in used:
                 continue
             answer = entry.answer
             new_cells = []
@@ -446,14 +425,12 @@ def brute_force_solve(
                     break
             if ok:
                 chosen.append(entry)
-                if forbid_duplicate_answers:
-                    used.add(answer)
+                used.add(answer)
                 if enumerate_from(
                     depth + 1, topic_count + (entry.source is Source.TOPIC)
                 ):
                     return True
-                if forbid_duplicate_answers:
-                    used.discard(answer)
+                used.discard(answer)
                 chosen.pop()
             for cell in new_cells:
                 del letters[cell]

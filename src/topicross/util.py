@@ -1,4 +1,5 @@
-"""Shared helpers: stable seed derivation and atomic file writes."""
+"""Shared helpers: the data-error base class, stable seed derivation and
+atomic file writes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,39 @@ import hashlib
 import os
 import tempfile
 from pathlib import Path
+
+
+class DataError(ValueError):
+    """Malformed content in an input file: a field of the wrong type or value.
+
+    The CLI maps every subclass to its data-error exit code.
+    """
+
+
+_REQUIRED = object()
+
+
+def json_field(
+    doc: object, key: str, kind: type | tuple[type, ...], where: str, default: object = _REQUIRED
+):
+    """``doc[key]``, checked to be an instance of ``kind``.
+
+    An absent key gives ``default`` when one is passed. Raises
+    :class:`DataError`, prefixed with ``where``, when ``doc`` is not a JSON
+    object, a required key is absent, or the value has the wrong type.
+    """
+    if not isinstance(doc, dict):
+        raise DataError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is _REQUIRED:
+            raise DataError(f"{where}: missing {key!r}")
+        return default
+    value = doc[key]
+    if not isinstance(value, kind):
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        expected = " or ".join(k.__name__ for k in kinds)
+        raise DataError(f"{where}: {key!r} must be {expected}, got {type(value).__name__}")
+    return value
 
 
 def derive_seed(*parts: object) -> int:

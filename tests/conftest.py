@@ -8,7 +8,6 @@ import pytest
 
 from topicross.grid import (
     GridPattern,
-    PatternPolicy,
     extract_slots,
     generate_random_patterns,
     validate_pattern,
@@ -124,6 +123,6 @@ def tiny_lexicon():
     return lexicon, build_index(lexicon)
 
 
-def assert_pattern_valid(pattern: GridPattern, policy: PatternPolicy = PatternPolicy()):
-    report = validate_pattern(pattern, policy)
+def assert_pattern_valid(pattern: GridPattern):
+    report = validate_pattern(pattern)
     assert report.is_valid, report.violations

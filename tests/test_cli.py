@@ -97,6 +97,62 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, content",
+        [
+            pytest.param("corpus", '{"doc_id": 1, "text": 5}\n', id="corpus-text-int"),
+            pytest.param("corpus", "[1]\n", id="corpus-not-object"),
+            pytest.param(
+                "corpus",
+                '{"doc_id": 1, "text": "Atlas rose.", "keywords": 5}\n',
+                id="corpus-keywords-int",
+            ),
+            pytest.param("corpus", "{bad\n", id="corpus-bad-json"),
+            pytest.param("corpus", b"\xff\xfe\n", id="corpus-not-utf8"),
+            pytest.param(
+                "tagged", '{"doc_id": 1, "text": "Atlas.", "keywords": [5]}\n', id="tag-int"
+            ),
+            pytest.param(
+                "tagged",
+                '{"doc_id": 1, "text": "Atlas.", '
+                '"keywords": [{"surface": "Atlas", "start": 0, "end": 99}]}\n',
+                id="tag-outside-text",
+            ),
+            pytest.param("puzzle", '{"pattern": 5}', id="puzzle-pattern-int"),
+            pytest.param("puzzle", "[1]", id="puzzle-not-object"),
+            pytest.param("puzzle", '{"pattern": "..", "entries": [5]}', id="puzzle-entry-int"),
+            pytest.param(
+                "puzzle",
+                '{"pattern": "..", "entries": [{"slot_id": 0, "orientation": "across", '
+                '"row": 0, "col": 0, "answer": 5, "source": "topic", "clue": "c"}], '
+                '"metadata": {"target_rate": 0, "achieved_topic_ratio": 1.0, "seed": 0, '
+                '"elapsed_ms": 0, "restarts": 0}}',
+                id="puzzle-answer-int",
+            ),
+            pytest.param("table", '{"mappings": {"a": 5}}', id="table-mapping-int"),
+            pytest.param("table", "[1, 2]", id="table-not-object"),
+        ],
+    )
+    def test_malformed_input(self, workdir, capsys, kind, content):
+        bad = workdir / "bad"
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content, encoding="utf-8")
+        ingest = ["ingest", "--gazetteer", workdir / "terms.txt"]
+        argv = {
+            "corpus": ingest + ["--corpus", bad],
+            "tagged": ["ingest", "--extractor", "pretagged", "--corpus", bad],
+            "puzzle": ["verify", "--puzzle", bad, "--lexicon", workdir / "filler.txt"],
+            "table": ingest + ["--corpus", workdir / "corpus.jsonl", "--table", bad],
+        }[kind]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        if kind == "corpus" and not isinstance(content, bytes):
+            assert err.startswith(f"error: {bad}:1: ")
+
 
 class TestPipelineCommands:
     def test_ingest_and_generate_and_verify_and_render(self, workdir, capsys):

@@ -13,7 +13,6 @@ from topicross.grid import (
     GridPattern,
     IllegalCharacterError,
     Orientation,
-    PatternPolicy,
     RaggedRowsError,
     extract_slots,
     generate_random_patterns,
@@ -220,19 +219,12 @@ class TestValidate:
         assert [v.kind for v in report.violations] == ["no-white-cells"]
 
     def test_connectivity_flag(self):
-        p = parse_pattern("..#\n###\n#..")  # two white islands
-        assert validate_pattern(p).is_valid
-        policy = PatternPolicy(require_connected=True)
-        report = validate_pattern(p, policy)
-        assert any(v.kind == "disconnected" for v in report.violations)
-
-    def test_min_slot_length_policy(self):
-        with pytest.raises(ValueError):
-            PatternPolicy(min_slot_length=1)
-        p = parse_pattern("...")
-        assert validate_pattern(p, PatternPolicy(min_slot_length=3)).is_valid
-        # a 2-cell run no longer counts as a slot under min length 3
-        assert not validate_pattern(parse_pattern(".."), PatternPolicy(min_slot_length=3)).is_valid
+        # connectivity is not a rule: two white islands, every white cell
+        # in a slot, is a valid pattern
+        p = parse_pattern("..#\n###\n#..")
+        report = validate_pattern(p)
+        assert report.is_valid
+        assert not any(v.kind == "disconnected" for v in report.violations)
 
 
 class TestGenerate:

@@ -92,7 +92,7 @@ class TestIngest:
         entry = lexicon.lookup("LIBERAL")
         assert entry.source is Source.TOPIC
         assert entry.clues == ("news clue",)
-        assert lexicon.counts == (1, 1)
+        assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
 
     def test_topic_wins_even_when_filler_first(self):
         lexicon = lex(
@@ -108,7 +108,7 @@ class TestIngest:
 
     def test_counts_empty_topic(self):
         lexicon = lex([(w, Source.FILLER, []) for w in ["aa", "bb", "cc"]])
-        assert lexicon.counts == (0, 3)
+        assert (lexicon.stats.topic, lexicon.stats.filler) == (0, 3)
 
     def test_skip_counters(self):
         lexicon = lex(
@@ -174,7 +174,7 @@ class TestLexiconFiles:
         filler = tmp_path / "f.txt"
         filler.write_text("liberal\natoll\n", encoding="utf-8")
         lexicon = ingest_lexicon([topic, filler])
-        assert lexicon.counts == (1, 1)
+        assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
         assert lexicon.lookup("LIBERAL").source is Source.TOPIC
 
 

@@ -7,11 +7,13 @@ from dataclasses import replace
 import pytest
 
 from conftest import random_small_instance
+from topicross import solver as solver_module
 from topicross.grid import extract_slots, parse_pattern
 from topicross.lexicon import RawRecord, Source, build_index, ingest_records
 from topicross.puzzle import assemble, verify_puzzle
 from topicross.solver import (
     BruteForceResult,
+    FillResult,
     FillState,
     InstanceTooLargeError,
     SolverConfig,
@@ -263,22 +265,6 @@ class TestAgainstOracle:
                     f"disagreement at T={rate} on {slotset.slots}"
                 )
 
-    def test_quota_prune_does_not_change_status(self):
-        rng = random.Random(31)
-        for _ in range(15):
-            _, slotset, _, index = random_small_instance(rng)
-            for rate in (50, 100):
-                with_prune = solve(
-                    slotset, index, replace(UNLIMITED, target_rate=rate)
-                )
-                without = solve(
-                    slotset,
-                    index,
-                    replace(UNLIMITED, target_rate=rate, quota_pruning=False),
-                )
-                assert with_prune.status is without.status
-                assert without.nodes_expanded >= with_prune.nodes_expanded
-
     def test_monotonic_in_target_rate(self):
         rng = random.Random(55)
         checked = 0
@@ -320,31 +306,12 @@ class TestAgainstOracle:
                 assert len(answers) == len(set(answers))
 
     def test_duplicates_allowed_when_flagged(self):
+        # there is no flag any more: "AA" fits all four slots of a 2x2 grid,
+        # but may be used only once, so neither solver fills it
         _, index = lex_index([("AA", Source.FILLER, ())])
         slotset = extract_slots(parse_pattern("..\n.."))
-        strict = solve(slotset, index, UNLIMITED)
-        assert not strict.success
-        relaxed = solve(
-            slotset, index, replace(UNLIMITED, forbid_duplicate_answers=False)
-        )
-        assert relaxed.success
-        assert set(relaxed.assignment.values()) == {"AA"}
-
-
-class TestResultSerialization:
-    def test_json_dict_shape(self):
-        _, index = lex_index([("AB", Source.TOPIC, ())])
-        slotset = extract_slots(parse_pattern(".."))
-        result = solve(slotset, index, replace(UNLIMITED, target_rate=100))
-        doc = result.to_json_dict()
-        assert doc == {
-            "status": "success",
-            "achieved_topic_ratio": 1.0,
-            "elapsed_ms": result.elapsed_ms,
-            "restarts": 0,
-            "nodes_expanded": result.nodes_expanded,
-            "assignment": {"0": "AB"},
-        }
+        assert solve(slotset, index, UNLIMITED).status is Status.EXHAUSTED
+        assert brute_force_solve(slotset, index, 0).satisfiable is False
 
 
 class TestMaximizeTopicRate:
@@ -361,6 +328,21 @@ class TestMaximizeTopicRate:
         slotset = extract_slots(parse_pattern("..\n.."))
         result = maximize_topic_rate(slotset, index, UNLIMITED)
         assert result.success and result.achieved_topic_ratio == 0.0
+
+    def test_solves_once_when_no_time_is_left(self, tiny_lexicon, monkeypatch):
+        _, index = tiny_lexicon
+        slotset = extract_slots(parse_pattern("..\n.."))
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(solver_module, "solve", counting_solve)
+        config = replace(UNLIMITED, time_limit=1e-9, restart_interval=1e-9)
+        result = maximize_topic_rate(slotset, index, config)
+        assert isinstance(result, FillResult)
+        assert [c[2] for c in calls] == [config]
 
     def test_matches_exhaustive_maximum(self):
         rng = random.Random(63)

@@ -299,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, solver.InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, KeyError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (grid.ExhaustedAttemptsError, pipeline.ExtractorUnavailableError) as exc:

@@ -54,12 +54,16 @@ class NormalizationTable:
     position. Characters already in the output alphabet pass through, so the
     table is idempotent on its own output. Anything else is handled per
     ``drop_policy``: 'reject' raises, 'skip' silently drops the character.
+
+    When every key is one character, :meth:`apply` is one ``str.translate``
+    call; a multi-character key needs the longest-match scan.
     """
 
     mappings: dict[str, str]
     drop_policy: str = SKIP
     _alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
     _max_key: int = field(init=False, repr=False, compare=False)
+    _codes: dict[int, str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.drop_policy not in (REJECT, SKIP):
@@ -67,8 +71,27 @@ class NormalizationTable:
         alphabet = frozenset(ch for value in self.mappings.values() for ch in value)
         object.__setattr__(self, "_alphabet", alphabet)
         object.__setattr__(self, "_max_key", max((len(k) for k in self.mappings), default=1))
+        codes = None
+        if all(len(key) == 1 for key in self.mappings):
+            codes = {ord(key): value for key, value in self.mappings.items()}
+        object.__setattr__(self, "_codes", codes)
 
     def apply(self, surface: str) -> str:
+        if self._codes is None:
+            return self._apply_longest_match(surface)
+        # Every mapped value is in the alphabet and an unmapped character
+        # passes through translate unchanged, so the characters left outside
+        # the alphabet are exactly the unmappable ones, in input order.
+        out = surface.translate(self._codes)
+        if self._alphabet.issuperset(out):
+            return out
+        if self.drop_policy == REJECT:
+            raise UnmappableCharacterError(
+                next(ch for ch in out if ch not in self._alphabet), surface
+            )
+        return "".join(ch for ch in out if ch in self._alphabet)
+
+    def _apply_longest_match(self, surface: str) -> str:
         out = []
         i = 0
         n = len(surface)
@@ -171,7 +194,7 @@ class LexiconEntry:
     def __post_init__(self) -> None:
         if len(self.answer) < 2:
             raise ValueError(f"answer {self.answer!r} shorter than 2 characters")
-        if any(ch.isspace() for ch in self.answer):
+        if self.answer.split() != [self.answer]:
             raise ValueError(f"answer {self.answer!r} contains whitespace")
 
 
@@ -333,17 +356,20 @@ class WordIndex:
         for length, entries in grouped.items():
             entries.sort(key=lambda e: (e.source is not Source.TOPIC, e.answer))
             self.by_length[length] = tuple(entries)
-            width = (len(entries) + 7) // 8
-            rows: dict[tuple[int, str], bytearray] = {}
-            for rank, entry in enumerate(entries):
-                byte, bit = rank >> 3, 1 << (rank & 7)
-                for key in enumerate(entry.answer):
-                    row = rows.get(key)
-                    if row is None:
-                        row = rows[key] = bytearray(width)
-                    row[byte] |= bit
-            for (position, letter), row in rows.items():
-                self.masks[length, position, letter] = int.from_bytes(row, "little")
+            # Column ``position`` of the answers, in rank order, is a slice of
+            # their concatenation. Translating it to one '1' per rank holding
+            # the letter and reversing it gives the mask in binary.
+            joined = "".join(entry.answer for entry in entries)
+            for position in range(length):
+                column = joined[position::length]
+                letters = sorted(set(column))
+                zeros = dict.fromkeys(map(ord, letters), "0")
+                for letter in letters:
+                    one_hot = {**zeros, ord(letter): "1"}
+                    # base 2 is exempt from int()'s limit on digit strings
+                    self.masks[length, position, letter] = int(
+                        column.translate(one_hot)[::-1], 2
+                    )
 
     def _match(self, length: int, fixed: Iterable[tuple[int, str]], excluded: int) -> int:
         """Mask of the entries matching every fixed letter, minus ``excluded``."""

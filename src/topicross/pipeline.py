@@ -157,7 +157,7 @@ def _enclosing_span(
 def extract_keywords(doc: Document, extractor: KeywordFinder) -> list[KeywordOccurrence]:
     """Run the extractor and attach enclosing-sentence spans, in document order."""
     if not doc.text:
-        raise ValueError(f"{doc.doc_id}: document text is empty")
+        raise DataError(f"{doc.doc_id}: document text is empty")
     spans = sentence_spans(doc.text)
     occurrences = []
     for surface, start, end in extractor.find(doc):
@@ -238,7 +238,7 @@ def build_topic_lexicon(
     sorted by answer, so output is byte-stable across runs.
     """
     if not corpus:
-        raise ValueError("corpus must be non-empty")
+        raise DataError("corpus must be non-empty")
     per_answer: dict[str, list[tuple[str, int, str, str]]] = {}
     occurrences = 0
     skipped_short = 0

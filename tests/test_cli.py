@@ -97,6 +97,20 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_program_bug_is_not_a_data_error(self, workdir, monkeypatch):
+        # a KeyError is a bug in the program, not bad input: no exit 3, no message
+        def broken(*args, **kwargs):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("topicross.cli.pipeline.build_topic_lexicon", broken)
+        with pytest.raises(KeyError):
+            run(
+                [
+                    "ingest", "--corpus", workdir / "corpus.jsonl",
+                    "--gazetteer", workdir / "terms.txt",
+                ]
+            )
+
     @pytest.mark.parametrize(
         "kind, content",
         [
@@ -109,6 +123,8 @@ class TestExitCodes:
             ),
             pytest.param("corpus", "{bad\n", id="corpus-bad-json"),
             pytest.param("corpus", b"\xff\xfe\n", id="corpus-not-utf8"),
+            pytest.param("empty", '{"doc_id": 1, "text": ""}\n', id="corpus-text-empty"),
+            pytest.param("empty", "", id="corpus-file-empty"),
             pytest.param(
                 "tagged", '{"doc_id": 1, "text": "Atlas.", "keywords": [5]}\n', id="tag-int"
             ),
@@ -142,6 +158,7 @@ class TestExitCodes:
         ingest = ["ingest", "--gazetteer", workdir / "terms.txt"]
         argv = {
             "corpus": ingest + ["--corpus", bad],
+            "empty": ingest + ["--corpus", bad],
             "tagged": ["ingest", "--extractor", "pretagged", "--corpus", bad],
             "puzzle": ["verify", "--puzzle", bad, "--lexicon", workdir / "filler.txt"],
             "table": ingest + ["--corpus", workdir / "corpus.jsonl", "--table", bad],

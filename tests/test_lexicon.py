@@ -8,6 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from topicross.lexicon import (
     DEFAULT_TABLE,
+    REJECT,
+    SKIP,
+    Lexicon,
+    LexiconEntry,
     LexiconParseError,
     NormalizationTable,
     RawRecord,
@@ -77,6 +81,88 @@ class TestNormalize:
     def test_table_json_round_trip(self):
         doc = DEFAULT_TABLE.to_json()
         assert NormalizationTable.from_json(doc) == DEFAULT_TABLE
+
+
+def reference_apply(table, surface):
+    """Longest-match scan over ``table.mappings``; the normalization oracle."""
+    alphabet = {ch for value in table.mappings.values() for ch in value}
+    max_key = max((len(k) for k in table.mappings), default=1)
+    out = []
+    i = 0
+    while i < len(surface):
+        for k in range(min(max_key, len(surface) - i), 0, -1):
+            if surface[i : i + k] in table.mappings:
+                out.append(table.mappings[surface[i : i + k]])
+                i += k
+                break
+        else:
+            if surface[i] in alphabet:
+                out.append(surface[i])
+            elif table.drop_policy == REJECT:
+                raise UnmappableCharacterError(surface[i], surface)
+            i += 1
+    return "".join(out)
+
+
+def outcome(apply, surface):
+    """The normalized string, or the code point a 'reject' table raised on."""
+    try:
+        return apply(surface)
+    except UnmappableCharacterError as exc:
+        return ("unmappable", exc.codepoint, exc.surface)
+
+
+def assert_matches_oracle(table, surface):
+    assert outcome(table.apply, surface) == outcome(
+        lambda s: reference_apply(table, s), surface
+    )
+
+
+# Input characters mix keys, alphabet letters (some in both roles) and
+# characters no drawn table maps; values may be empty or two characters long.
+SURFACE_CHARS = "abcnAB-' \tßéΩж"
+VALUE_CHARS = "ABCNÑΩЖ"
+single_key_tables = st.dictionaries(
+    st.sampled_from(SURFACE_CHARS), st.text(VALUE_CHARS, max_size=2), max_size=8
+)
+multi_key_tables = st.dictionaries(
+    st.text(SURFACE_CHARS, min_size=1, max_size=3), st.text(VALUE_CHARS, max_size=2), max_size=8
+).filter(lambda mappings: any(len(key) > 1 for key in mappings))
+
+
+@pytest.mark.parametrize("policy", [SKIP, REJECT])
+class TestNormalizationEquivalence:
+    """``NormalizationTable.apply`` against the longest-match oracle."""
+
+    @given(surface=st.text(max_size=20) | st.text(st.characters(max_codepoint=0x24F), max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_default_table(self, policy, surface):
+        table = replace(DEFAULT_TABLE, drop_policy=policy)
+        assert_matches_oracle(table, surface)
+
+    @given(mappings=single_key_tables, surface=st.text(SURFACE_CHARS + "z", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_single_character_keys(self, policy, mappings, surface):
+        table = NormalizationTable(mappings=mappings, drop_policy=policy)
+        assert_matches_oracle(table, surface)
+
+    @given(mappings=multi_key_tables, surface=st.text(SURFACE_CHARS + "z", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_multi_character_keys(self, policy, mappings, surface):
+        table = NormalizationTable(mappings=mappings, drop_policy=policy)
+        assert_matches_oracle(table, surface)
+
+
+class TestLexiconEntry:
+    @pytest.mark.parametrize("answer", ["A B", "AB ", " AB", "A\tB", "A\u3000B", "A\x1cB"])
+    def test_whitespace_rejected(self, answer):
+        with pytest.raises(ValueError, match="contains whitespace"):
+            LexiconEntry(answer=answer, surface=answer, source=Source.FILLER)
+
+    def test_length_checked_first(self):
+        with pytest.raises(ValueError, match="shorter than 2"):
+            LexiconEntry(answer=" ", surface=" ", source=Source.FILLER)
+        assert LexiconEntry(answer="ÑΩ", surface="ño", source=Source.TOPIC).answer == "ÑΩ"
 
 
 class TestIngest:
@@ -263,22 +349,26 @@ class TestWordIndex:
         assert words_at(index, 2, index.candidates(2)) == ["MM", "ZZ", "AA"]
 
     def test_invariants_against_definition(self):
-        _, index = _random_lexicon_index(seed=11)
-        for (length, pos, letter), mask in index.masks.items():
-            pool = index.by_length[length]
-            assert mask > 0 and mask.bit_length() <= len(pool)
-            entries = {pool[i] for i in range(len(pool)) if mask >> i & 1}
-            assert entries == {
-                e for e in pool if e.answer[pos] == letter
-            }
-        for length, pool in index.by_length.items():
-            for pos in range(length):
-                union = 0
-                for (lg, p, _), mask in index.masks.items():
-                    if lg == length and p == pos:
-                        assert not union & mask  # one letter per position
-                        union |= mask
-                assert union == (1 << len(pool)) - 1
+        lexicon, index = _random_lexicon_index(seed=11)
+        assert_index_matches_definition(lexicon, index)
+
+    def test_non_ascii_alphabet_and_unsorted_entries(self):
+        table = NormalizationTable(mappings={"n": "Ñ", "o": "Ω", "z": "Ж", "a": "A"})
+        rng = random.Random(17)
+        words = {"".join(rng.choices("noza", k=rng.randint(2, 6))) for _ in range(300)}
+        records = [
+            RawRecord(w, Source.TOPIC if rng.random() < 0.3 else Source.FILLER)
+            for w in sorted(words)
+        ]
+        ingested = ingest_records(records, table)
+        # Lexicon does not enforce answer order; hand the index a shuffled one
+        entries = list(ingested.entries)
+        rng.shuffle(entries)
+        lexicon = Lexicon(entries=tuple(entries), stats=ingested.stats)
+        index = build_index(lexicon)
+        assert {letter for (_, _, letter) in index.masks} == {"Ñ", "Ω", "Ж", "A"}
+        assert max(len(pool) for pool in index.by_length.values()) > 64
+        assert_index_matches_definition(lexicon, index)
 
     def test_matches_naive_filter_on_random_queries(self):
         lexicon, index = _random_lexicon_index(seed=23)
@@ -301,6 +391,31 @@ class TestWordIndex:
         _, index = _random_lexicon_index(seed=1)
         with pytest.raises(ValueError):
             index.candidates(3, [(3, "A")])
+
+
+def assert_index_matches_definition(lexicon, index):
+    """``by_length`` and every mask, checked against their definitions."""
+    lengths = {len(e.answer) for e in lexicon.entries}
+    assert set(index.by_length) == lengths
+    for length in lengths:
+        expected = sorted(
+            (e for e in lexicon.entries if len(e.answer) == length),
+            key=lambda e: (e.source is not Source.TOPIC, e.answer),
+        )
+        assert list(index.by_length[length]) == expected
+    for (length, pos, letter), mask in index.masks.items():
+        pool = index.by_length[length]
+        assert mask > 0 and mask.bit_length() <= len(pool)
+        entries = {pool[i] for i in range(len(pool)) if mask >> i & 1}
+        assert entries == {e for e in pool if e.answer[pos] == letter}
+    for length, pool in index.by_length.items():
+        for pos in range(length):
+            union = 0
+            for (lg, p, _), mask in index.masks.items():
+                if lg == length and p == pos:
+                    assert not union & mask  # one letter per position
+                    union |= mask
+            assert union == (1 << len(pool)) - 1
 
 
 def _random_lexicon_index(seed):

@@ -32,9 +32,12 @@ def _parse_size(value: str) -> tuple[int, int]:
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in value.split(",") if part)
+        values = tuple(int(part) for part in value.split(",") if part)
     except ValueError:
+        values = ()
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+    return values
 
 
 def _load_table(path: str | None) -> lexicon.NormalizationTable:
@@ -66,7 +69,6 @@ def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
-    corpus = pipeline.read_corpus_jsonl(args.corpus)
     if args.gazetteer:
         terms = [
             line.strip()
@@ -77,9 +79,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     elif args.extractor == "pretagged":
         extractor = pipeline.PreTaggedExtractor()
     else:
-        raise pipeline.ExtractorUnavailableError(
+        raise ValueError(
             "gazetteer extraction needs --gazetteer; otherwise use --extractor pretagged"
         )
+    corpus = pipeline.read_corpus_jsonl(args.corpus)
     result = pipeline.build_topic_lexicon(
         corpus, extractor, table, args.mask, args.min_clue_chars
     )
@@ -302,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (grid.ExhaustedAttemptsError, pipeline.ExtractorUnavailableError) as exc:
+    except grid.ExhaustedAttemptsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -9,8 +9,10 @@ must agree.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 from .util import DataError
 
@@ -99,28 +101,17 @@ class Slot:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    """A cell shared by an across slot (``slot_a``) and a down slot (``slot_b``)."""
-
-    slot_a: int
-    index_a: int
-    slot_b: int
-    index_b: int
-    cell: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class SlotSet:
     """All slots of a pattern in canonical order, plus crossing structure.
 
     Canonical order: across slots row-major by start, then down slots
     row-major by start; ``slot_id`` equals the position in ``slots``.
     ``cell_to_slots`` maps each slotted cell to its (slot_id, index-in-slot)
-    memberships, across membership first.
+    memberships, across membership first. A cell with two memberships is a
+    crossing; an across and a down slot share at most one cell.
     """
 
     slots: tuple[Slot, ...]
-    crossings: tuple[Crossing, ...]
     cell_to_slots: dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
@@ -182,50 +173,36 @@ def render_pattern_file(patterns: list[GridPattern]) -> str:
     return "\n\n".join(render_pattern(p) for p in patterns) + "\n"
 
 
-def _scan_runs(pattern: GridPattern) -> tuple[list, list]:
-    """Collect maximal white runs, split into across and down lists."""
-    across = []
-    for r in range(pattern.height):
-        c = 0
-        while c < pattern.width:
-            if pattern.is_black(r, c):
-                c += 1
-                continue
-            start = c
-            while c < pattern.width and not pattern.is_black(r, c):
-                c += 1
-            if c - start >= MIN_SLOT_LENGTH:
-                across.append(((r, start), tuple((r, j) for j in range(start, c))))
-    down = []
-    for c in range(pattern.width):
-        r = 0
-        while r < pattern.height:
-            if pattern.is_black(r, c):
-                r += 1
-                continue
-            start = r
-            while r < pattern.height and not pattern.is_black(r, c):
-                r += 1
-            if r - start >= MIN_SLOT_LENGTH:
-                down.append(((start, c), tuple((i, c) for i in range(start, r))))
-    down.sort(key=lambda item: item[0])
-    return across, down
+# r"\.{2,}": between black cells, a greedy match is a whole white run.
+_WHITE_RUN = re.compile(re.escape(WHITE) + f"{{{MIN_SLOT_LENGTH},}}")
+
+
+def _white_runs(lines: Iterable[str]) -> list[tuple[int, range]]:
+    """Maximal white runs of at least ``MIN_SLOT_LENGTH`` cells, as (line, positions)."""
+    return [
+        (i, range(m.start(), m.end()))
+        for i, line in enumerate(lines)
+        for m in _WHITE_RUN.finditer(line)
+    ]
 
 
 def extract_slots(pattern: GridPattern) -> SlotSet:
-    """Extract all slots and crossings of a pattern in canonical order."""
-    across_runs, down_runs = _scan_runs(pattern)
+    """Extract all slots of a pattern in canonical order, with each cell's memberships."""
+    across = [tuple((r, c) for c in span) for r, span in _white_runs(pattern.cells)]
+    columns = ("".join(column) for column in zip(*pattern.cells))
+    # Columns come out column-major; sorting by start cell makes them row-major.
+    down = sorted(tuple((r, c) for r in span) for c, span in _white_runs(columns))
 
     slots = []
     cell_to_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for orientation, runs in ((Orientation.ACROSS, across_runs), (Orientation.DOWN, down_runs)):
-        for start, cells in runs:
+    for orientation, runs in ((Orientation.ACROSS, across), (Orientation.DOWN, down)):
+        for cells in runs:
             sid = len(slots)
             slots.append(
                 Slot(
                     slot_id=sid,
                     orientation=orientation,
-                    start=start,
+                    start=cells[0],
                     length=len(cells),
                     cells=cells,
                 )
@@ -233,26 +210,8 @@ def extract_slots(pattern: GridPattern) -> SlotSet:
             for idx, cell in enumerate(cells):
                 cell_to_slots.setdefault(cell, []).append((sid, idx))
 
-    crossings = []
-    for slot in slots:
-        if slot.orientation is not Orientation.ACROSS:
-            continue
-        for index_a, cell in enumerate(slot.cells):
-            for other_id, index_b in cell_to_slots[cell]:
-                if other_id != slot.slot_id:
-                    crossings.append(
-                        Crossing(
-                            slot_a=slot.slot_id,
-                            index_a=index_a,
-                            slot_b=other_id,
-                            index_b=index_b,
-                            cell=cell,
-                        )
-                    )
-
     return SlotSet(
         slots=tuple(slots),
-        crossings=tuple(crossings),
         cell_to_slots={cell: tuple(v) for cell, v in cell_to_slots.items()},
     )
 

@@ -124,6 +124,9 @@ class NormalizationTable:
         mappings = json_field(doc, "mappings", dict, where)
         if not all(isinstance(value, str) for value in mappings.values()):
             raise DataError(f"{where}: every 'mappings' value must be a string")
+        for key, value in mappings.items():
+            if any(ch.isspace() for ch in value):
+                raise DataError(f"{where}: mapping of {key!r} contains whitespace")
         drop_policy = json_field(doc, "drop_policy", str, where, SKIP)
         if drop_policy not in (REJECT, SKIP):
             raise DataError(f"{where}: 'drop_policy' must be {REJECT!r} or {SKIP!r}")

@@ -20,10 +20,6 @@ DEFAULT_TERMINATORS = frozenset(".!?。！？")
 DEFAULT_MIN_CLUE_CHARS = 10
 
 
-class ExtractorUnavailableError(RuntimeError):
-    pass
-
-
 class OffsetOutOfRangeError(DataError):
     pass
 

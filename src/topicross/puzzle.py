@@ -115,8 +115,11 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
     """Re-check a puzzle from scratch; violations are data, not errors.
 
     Checks slot coverage, entry geometry, crossing-letter agreement, lexicon
-    membership, the duplicate-answer rule, and the topic quota. Deliberately
-    independent of the solver: letters are re-placed cell by cell here.
+    membership, each entry's source against the lexicon's, the duplicate-answer
+    rule, and the topic quota. A topic answer counts only when the lexicon
+    tags it topic and the entry agrees; the file's tag alone counts for
+    nothing. Deliberately independent of the solver: letters are re-placed
+    cell by cell here.
     """
     violations: list[PuzzleViolation] = []
     slotset = extract_slots(puzzle.pattern)
@@ -185,7 +188,16 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
             violations.append(
                 PuzzleViolation("not-in-lexicon", f"{entry.answer!r} is not a known answer")
             )
-        if entry.source is Source.TOPIC:
+            continue
+        if entry.source is not lex.source:
+            violations.append(
+                PuzzleViolation(
+                    "source-mismatch",
+                    f"{entry.answer!r} is marked {entry.source.value}, "
+                    f"the lexicon has it as {lex.source.value}",
+                )
+            )
+        elif lex.source is Source.TOPIC:
             topic += 1
     total = len(puzzle.entries)
     if total and topic * 100 < target_rate * total:
@@ -290,7 +302,9 @@ def render_text(puzzle: Puzzle, include_solution: bool = True) -> str:
     """Letter grid plus numbered ACROSS/DOWN clue lists.
 
     Clue numbers follow canonical slot order (across row-major, then down).
-    Without the solution, white cells render as '.'.
+    Without the solution, white cells render as '.'. An entry that does not
+    fit a slot of the pattern places no letters; :func:`verify_puzzle` reports
+    it.
     """
     letters: dict[tuple[int, int], str] = {}
     slotset = extract_slots(puzzle.pattern)
@@ -298,7 +312,7 @@ def render_text(puzzle: Puzzle, include_solution: bool = True) -> str:
     if include_solution:
         for entry in puzzle.entries:
             slot = slots_by_id.get(entry.slot_id)
-            if slot is None:
+            if slot is None or len(entry.answer) != slot.length:
                 continue
             for i, cell in enumerate(slot.cells):
                 letters[cell] = entry.answer[i]

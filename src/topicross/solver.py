@@ -141,13 +141,18 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
         raise ValueError("no unassigned slots")
     if len(tied) == 1:
         return tied[0]
-    degree = dict.fromkeys(tied, 0)
-    for crossing in slotset.crossings:
-        if crossing.slot_a in degree and crossing.slot_b not in assigned:
-            degree[crossing.slot_a] += 1
-        if crossing.slot_b in degree and crossing.slot_a not in assigned:
-            degree[crossing.slot_b] += 1
-    return min(tied, key=lambda sid: (-degree[sid], sid))
+
+    def degree(sid: int) -> int:
+        # Each across/down pair shares at most one cell, so counting crossing
+        # cells counts the unassigned slots this one crosses.
+        return sum(
+            other not in assigned
+            for cell in slotset.slots[sid].cells
+            for other, _ in slotset.cell_to_slots[cell]
+            if other != sid
+        )
+
+    return min(tied, key=lambda sid: (-degree(sid), sid))
 
 
 def _ordered_candidates(
@@ -174,11 +179,6 @@ class _EpisodeCut(Exception):
     """Episode hit its node budget or deadline."""
 
 
-_EXHAUSTED = "exhausted"
-_CUT = "cut"
-_FOUND = "found"
-
-
 def _run_episode(
     slotset: SlotSet,
     index: WordIndex,
@@ -186,7 +186,8 @@ def _run_episode(
     state: FillState,
     rng: Random | None,
     deadline: float | None,
-) -> str:
+) -> Status:
+    """One search from an empty fill; ``TIMEOUT`` means the budget or deadline cut it."""
     total = len(slotset.slots)
     need = quota_needed(total, config.target_rate)
     budget = config.node_budget
@@ -230,9 +231,9 @@ def _run_episode(
         return False
 
     try:
-        return _FOUND if dfs() else _EXHAUSTED
+        return Status.SUCCESS if dfs() else Status.EXHAUSTED
     except _EpisodeCut:
-        return _CUT
+        return Status.TIMEOUT
 
 
 def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
@@ -251,8 +252,6 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     virtual_ms = 0.0
     nodes_total = 0
     episodes = 0
-    final_state: FillState | None = None
-    status = Status.TIMEOUT
 
     if total == 0:
         return FillResult(
@@ -287,23 +286,17 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
                 * min(state.nodes_expanded, config.node_budget)
                 / config.node_budget
             )
-        if outcome == _FOUND:
-            status = Status.SUCCESS
-            final_state = state
+        if outcome is Status.SUCCESS:
             break
-        if outcome == _EXHAUSTED and not config.randomize_ties:
-            status = Status.EXHAUSTED
-            break
-        if outcome == _EXHAUSTED and max_episodes is None:
-            # No episode cap means an unlimited time budget; restarting an
+        if outcome is Status.EXHAUSTED and (not config.randomize_ties or max_episodes is None):
+            # Without randomization the search space is proven empty. With it
+            # and no episode cap (an unlimited time budget), restarting an
             # already fully explored space would spin forever.
-            status = Status.EXHAUSTED
             break
-        if max_episodes is not None and episodes >= max_episodes:
-            status = Status.TIMEOUT
-            break
-        if not deterministic and time.monotonic() - started >= config.time_limit:
-            status = Status.TIMEOUT
+        if (max_episodes is not None and episodes >= max_episodes) or (
+            not deterministic and time.monotonic() - started >= config.time_limit
+        ):
+            outcome = Status.TIMEOUT
             break
 
     if deterministic:
@@ -311,14 +304,14 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     else:
         elapsed_ms = int(round((time.monotonic() - started) * 1000))
 
-    if final_state is not None:
-        assignment = {sid: e.answer for sid, e in final_state.assignment.items()}
-        ratio = final_state.topic_count / total
+    if outcome is Status.SUCCESS:
+        assignment = {sid: e.answer for sid, e in state.assignment.items()}
+        ratio = state.topic_count / total
     else:
         assignment = {}
         ratio = 0.0
     return FillResult(
-        status=status,
+        status=outcome,
         assignment=assignment,
         achieved_topic_ratio=ratio,
         elapsed_ms=elapsed_ms,

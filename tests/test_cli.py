@@ -81,6 +81,27 @@ class TestExitCodes:
         assert not out.exists()  # failed runs leave no partial output
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param(
+                ["sweep", "--t-values", ",", "--lexicon", "filler.txt"], "--t-values",
+                id="empty-int-list",
+            ),
+            pytest.param(
+                ["ingest", "--corpus", "corpus.jsonl"], "--gazetteer",
+                id="ingest-without-extractor",
+            ),
+        ],
+    )
+    def test_usage_error_names_the_option(self, workdir, capsys, argv, named):
+        out = workdir / "never"
+        argv = [workdir / a if (workdir / a).is_file() else a for a in argv]
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_non_string_surface(self, workdir, capsys):
         bad = workdir / "bad.jsonl"
         bad.write_text('{"surface": 5, "source": "topic"}\n', encoding="utf-8")
@@ -147,6 +168,7 @@ class TestExitCodes:
             ),
             pytest.param("table", '{"mappings": {"a": 5}}', id="table-mapping-int"),
             pytest.param("table", "[1, 2]", id="table-not-object"),
+            pytest.param("table", '{"mappings": {"a": " "}}', id="table-mapping-whitespace"),
         ],
     )
     def test_malformed_input(self, workdir, capsys, kind, content):
@@ -238,6 +260,31 @@ class TestPipelineCommands:
         if json.loads(out.read_text())["metadata"]["achieved_topic_ratio"] < 1.0:
             assert code == 1
             assert "quota" in captured.out
+
+    def test_verify_counts_topic_answers_by_the_lexicon(self, workdir, capsys):
+        # a 2x2 fill of four filler words whose puzzle file claims "topic"
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        slots = [("across", 0, 0, "AB"), ("across", 1, 0, "CD"),
+                 ("down", 0, 0, "AC"), ("down", 0, 1, "BD")]
+        doc = {
+            "pattern": "..\n..",
+            "entries": [
+                {"slot_id": sid, "orientation": o, "row": r, "col": c,
+                 "answer": a, "source": "topic", "clue": "c"}
+                for sid, (o, r, c, a) in enumerate(slots)
+            ],
+            "metadata": {"target_rate": 100, "achieved_topic_ratio": 1.0, "seed": 0,
+                         "elapsed_ms": 0, "restarts": 0},
+        }
+        pzl = workdir / "retagged.json"
+        pzl.write_text(json.dumps(doc), encoding="utf-8")
+        code = run(
+            ["verify", "--puzzle", pzl, "--lexicon", words, "--target-rate", "100"]
+        )
+        assert code == 1
+        kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert kinds == ["source-mismatch"] * 4 + ["quota"]
 
     def test_patterns_command(self, workdir):
         out = workdir / "patterns.txt"

@@ -131,12 +131,12 @@ class TestExtractSlots:
         slot = ss.slots[0]
         assert slot.orientation is Orientation.ACROSS
         assert slot.length == 5
-        assert not ss.crossings
+        assert ss.cell_to_slots == {(0, c): ((0, c),) for c in range(5)}
 
     def test_all_black(self):
         p = GridPattern(7, 7, tuple("#" * 7 for _ in range(7)))
         ss = extract_slots(p)
-        assert not ss.slots and not ss.crossings
+        assert not ss.slots and not ss.cell_to_slots
 
     def test_2x2_all_white(self):
         ss = extract_slots(parse_pattern("..\n.."))
@@ -144,7 +144,9 @@ class TestExtractSlots:
         down = [s for s in ss.slots if s.orientation is Orientation.DOWN]
         assert len(across) == 2 and len(down) == 2
         assert all(s.length == 2 for s in ss.slots)
-        assert len(ss.crossings) == 4
+        # every cell is a crossing
+        assert len(ss.cell_to_slots) == 4
+        assert all(len(members) == 2 for members in ss.cell_to_slots.values())
 
     def test_canonical_order(self):
         ss = extract_slots(parse_pattern("...\n#..\n..."))
@@ -168,22 +170,24 @@ class TestExtractSlots:
         for _ in range(200):
             p = random_pattern(rng)
             ss = extract_slots(p)
-            crossing_cells = {c.cell for c in ss.crossings}
-            for cell, members in ss.cell_to_slots.items():
-                assert 1 <= len(members) <= 2
-                assert (len(members) == 2) == (cell in crossing_cells)
-            for crossing in ss.crossings:
-                a = ss.slots[crossing.slot_a]
-                b = ss.slots[crossing.slot_b]
-                assert a.orientation is Orientation.ACROSS
-                assert b.orientation is Orientation.DOWN
-                assert a.cells[crossing.index_a] == crossing.cell
-                assert b.cells[crossing.index_b] == crossing.cell
-            # no slot pair shares more than one cell
+            in_run = {"across": set(), "down": set()}
+            for kind, cells in naive_runs(p):
+                in_run[kind].update(cells)
+            assert set(ss.cell_to_slots) == in_run["across"] | in_run["down"]
             pair_counts = {}
-            for crossing in ss.crossings:
-                key = (crossing.slot_a, crossing.slot_b)
-                pair_counts[key] = pair_counts.get(key, 0) + 1
+            for cell, members in ss.cell_to_slots.items():
+                for sid, idx in members:
+                    assert ss.slots[sid].cells[idx] == cell
+                # one membership per run through the cell, across first: two
+                # memberships exactly where an across and a down run cross
+                expected = [
+                    Orientation(kind) for kind in ("across", "down") if cell in in_run[kind]
+                ]
+                assert [ss.slots[sid].orientation for sid, _ in members] == expected
+                if len(members) == 2:
+                    key = (members[0][0], members[1][0])
+                    pair_counts[key] = pair_counts.get(key, 0) + 1
+            # no slot pair shares more than one cell
             assert all(v == 1 for v in pair_counts.values())
 
     def test_across_lengths_cover_horizontal_run_cells(self):

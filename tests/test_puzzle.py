@@ -244,6 +244,13 @@ class TestRender:
         assert len(grid_lines) == 7
         assert all(len(line) == 7 for line in grid_lines)
 
+    def test_answer_that_does_not_fit_places_no_letters(self):
+        *_, lexicon, puzzle = solved_puzzle("..", [("AB", Source.TOPIC, ())])
+        short = replace(puzzle, entries=(replace(puzzle.entries[0], answer="A"),))
+        assert render_text(short).splitlines()[0] == ".."
+        kinds = [v.kind for v in verify_puzzle(short, lexicon, 0).violations]
+        assert "length-mismatch" in kinds
+
     def test_solution_free_hides_letters(self):
         *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
         text = render_text(puzzle, include_solution=False)

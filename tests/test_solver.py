@@ -108,19 +108,18 @@ class TestChooseNextSlot:
         assert index.count_matches(slot.length, fixed) == 0
 
     def test_degree_tiebreak(self):
-        # 3x3 with a black corner: across row 0 crosses two downs, across row 2
-        # crosses one after the other down is assigned
+        # 3x3 with a black corner: across 0-2 are rows, down 3-5 are columns.
+        # Two words per length tie every slot on candidate count.
         _, index = lex_index(
-            [(w, Source.FILLER, ()) for w in ["AAA", "AAB", "ABA", "BAA", "AA", "AB"]]
+            [(w, Source.FILLER, ()) for w in ["AAA", "AAB", "AA", "AB"]]
         )
         slotset = extract_slots(parse_pattern("...\n...\n..#"))
-        counts = {
-            s.slot_id: index.count_matches(s.length, []) for s in slotset.slots
-        }
-        tied = [sid for sid, c in counts.items() if c == min(counts.values())]
-        chosen = choose_next_slot(state_with(), slotset, index)
-        assert chosen in tied
-
+        assert [s.length for s in slotset.slots] == [3, 3, 2, 3, 3, 2]
+        # slots 0, 1, 3 and 4 each cross three others; the lowest id wins
+        assert choose_next_slot(state_with(), slotset, index) == 0
+        # with slot 5 assigned (no letters placed) rows 0 and 1 cross two
+        # unassigned slots and columns 3 and 4 still cross three
+        assert choose_next_slot(state_with(assignment={5: None}), slotset, index) == 3
 
 class TestSolveSmall:
     def test_single_slot_topic(self):

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from . import grid, harness, lexicon, pipeline, puzzle, solver
 from .util import DataError, atomic_write_text, derive_seed
@@ -20,6 +21,8 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
+
+T = TypeVar("T")
 
 
 def _parse_size(value: str) -> tuple[int, int]:
@@ -40,10 +43,18 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
     return values
 
 
+def _load_json(path: str, convert: Callable[[object], T]) -> T:
+    """Read, parse and convert a JSON file; a malformed one is a DataError naming it."""
+    try:
+        return convert(json.loads(Path(path).read_text("utf-8")))
+    except (json.JSONDecodeError, UnicodeDecodeError, DataError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _load_table(path: str | None) -> lexicon.NormalizationTable:
     if path is None:
         return lexicon.DEFAULT_TABLE
-    return lexicon.NormalizationTable.from_json(json.loads(Path(path).read_text("utf-8")))
+    return _load_json(path, lexicon.NormalizationTable.from_json)
 
 
 def _solver_config(args: argparse.Namespace, target_rate: int) -> solver.SolverConfig:
@@ -175,8 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.puzzle).read_text("utf-8"))
-    pzl = puzzle.deserialize_puzzle(doc)
+    pzl = _load_json(args.puzzle, puzzle.deserialize_puzzle)
     lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table))
     report = puzzle.verify_puzzle(pzl, lex, args.target_rate)
     if report.ok:
@@ -188,8 +198,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    doc = json.loads(Path(args.puzzle).read_text("utf-8"))
-    pzl = puzzle.deserialize_puzzle(doc)
+    pzl = _load_json(args.puzzle, puzzle.deserialize_puzzle)
     text = puzzle.render_text(pzl, include_solution=not args.solution_free)
     if args.out:
         atomic_write_text(args.out, text)
@@ -296,15 +305,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (DataError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ValueError, solver.InstanceTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except grid.ExhaustedAttemptsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -8,6 +8,7 @@ from an external word list. A word that shows up in both keeps the topic tag.
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -51,38 +52,45 @@ class NormalizationTable:
     """Maps surface code-point sequences onto the grid alphabet.
 
     Keys may be multi-character; the longest key match wins at each input
-    position. Characters already in the output alphabet pass through, so the
-    table is idempotent on its own output. Anything else is handled per
-    ``drop_policy``: 'reject' raises, 'skip' silently drops the character.
+    position, and an empty key never matches. Characters already in the
+    output alphabet pass through, so the table is idempotent on its own
+    output. Anything else is handled per ``drop_policy``: 'reject' raises,
+    'skip' silently drops the character.
 
-    When every key is one character, :meth:`apply` is one ``str.translate``
-    call; a multi-character key needs the longest-match scan.
+    When every key is one character, :meth:`apply` substitutes with one
+    ``str.translate`` call; otherwise with one regex alternation of the keys,
+    longest first, which takes the longest key that matches at each position.
     """
 
     mappings: dict[str, str]
     drop_policy: str = SKIP
     _alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
-    _max_key: int = field(init=False, repr=False, compare=False)
     _codes: dict[int, str] | None = field(init=False, repr=False, compare=False)
+    _pattern: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.drop_policy not in (REJECT, SKIP):
             raise ValueError(f"drop_policy must be {REJECT!r} or {SKIP!r}")
         alphabet = frozenset(ch for value in self.mappings.values() for ch in value)
         object.__setattr__(self, "_alphabet", alphabet)
-        object.__setattr__(self, "_max_key", max((len(k) for k in self.mappings), default=1))
-        codes = None
-        if all(len(key) == 1 for key in self.mappings):
-            codes = {ord(key): value for key, value in self.mappings.items()}
+        # An empty key would match between every pair of characters.
+        keys = sorted((key for key in self.mappings if key), key=len, reverse=True)
+        codes = pattern = None
+        if all(len(key) == 1 for key in keys):
+            codes = {ord(key): self.mappings[key] for key in keys}
+        else:
+            pattern = re.compile("|".join(map(re.escape, keys)))
         object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_pattern", pattern)
 
     def apply(self, surface: str) -> str:
-        if self._codes is None:
-            return self._apply_longest_match(surface)
-        # Every mapped value is in the alphabet and an unmapped character
-        # passes through translate unchanged, so the characters left outside
-        # the alphabet are exactly the unmappable ones, in input order.
-        out = surface.translate(self._codes)
+        if self._pattern is None:
+            out = surface.translate(self._codes)
+        else:
+            out = self._pattern.sub(lambda match: self.mappings[match.group()], surface)
+        # Every mapped value is in the alphabet and an unmatched character
+        # passes through unchanged, so the characters left outside the
+        # alphabet are exactly the unmappable ones, in input order.
         if self._alphabet.issuperset(out):
             return out
         if self.drop_policy == REJECT:
@@ -90,29 +98,6 @@ class NormalizationTable:
                 next(ch for ch in out if ch not in self._alphabet), surface
             )
         return "".join(ch for ch in out if ch in self._alphabet)
-
-    def _apply_longest_match(self, surface: str) -> str:
-        out = []
-        i = 0
-        n = len(surface)
-        while i < n:
-            matched = False
-            for k in range(min(self._max_key, n - i), 0, -1):
-                segment = surface[i : i + k]
-                if segment in self.mappings:
-                    out.append(self.mappings[segment])
-                    i += k
-                    matched = True
-                    break
-            if matched:
-                continue
-            ch = surface[i]
-            if ch in self._alphabet:
-                out.append(ch)
-            elif self.drop_policy == REJECT:
-                raise UnmappableCharacterError(ch, surface)
-            i += 1
-        return "".join(out)
 
     def to_json(self) -> dict:
         return {"mappings": dict(sorted(self.mappings.items())), "drop_policy": self.drop_policy}

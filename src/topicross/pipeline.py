@@ -108,9 +108,7 @@ class GazetteerExtractor:
         return out
 
 
-def sentence_spans(
-    text: str, terminators: frozenset[str] = DEFAULT_TERMINATORS
-) -> list[tuple[int, int]]:
+def sentence_spans(text: str) -> list[tuple[int, int]]:
     """Split text into sentence spans covering it entirely.
 
     A sentence ends at a terminator followed by whitespace or end-of-text.
@@ -122,7 +120,7 @@ def sentence_spans(
     i = 0
     n = len(text)
     while i < n:
-        if text[i] in terminators and (i + 1 == n or text[i + 1].isspace()):
+        if text[i] in DEFAULT_TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
             spans.append((start, i + 1))
             i += 1
             while i < n and text[i].isspace():

@@ -8,7 +8,7 @@ from random import Random
 
 from .grid import GridPattern, Orientation, SlotSet, extract_slots, parse_pattern
 from .lexicon import Lexicon, Source
-from .solver import FillResult, SolverConfig
+from .solver import FillResult
 from .util import DataError, derive_seed, json_field
 
 GENERATOR_VERSION = "0.1.0"
@@ -100,11 +100,10 @@ def assemble(
                 clue=clue,
             )
         )
-    config = result.config or SolverConfig()
     metadata = PuzzleMetadata(
-        target_rate=config.target_rate,
+        target_rate=result.config.target_rate,
         achieved_topic_ratio=result.achieved_topic_ratio,
-        seed=config.seed,
+        seed=result.config.seed,
         elapsed_ms=result.elapsed_ms,
         restarts=result.restarts,
     )

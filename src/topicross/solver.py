@@ -39,9 +39,13 @@ class SolverConfig:
     """Search hyperparameters.
 
     ``target_rate`` is the required minimum percentage of topic answers among
-    the placed words. When ``node_budget`` is set the solver runs in
-    deterministic mode: episodes end after that many node expansions instead
-    of after ``restart_interval`` seconds, the episode count is capped at
+    the placed words. Every episode shuffles candidates within the topic and
+    filler groups with its own seeded random state. An exhausted search space
+    is final (``EXHAUSTED``) only under an unlimited ``time_limit``.
+
+    When ``node_budget`` is set the solver runs in deterministic mode:
+    episodes end after that many node expansions instead of after
+    ``restart_interval`` seconds, the episode count is capped at
     ``time_limit // restart_interval`` for parity with wall-clock runs, and
     reported elapsed time is a virtual clock (one full episode == one restart
     interval), so identical configs reproduce byte-identical results.
@@ -52,7 +56,6 @@ class SolverConfig:
     restart_interval: float = 10.0
     node_budget: int | None = None
     seed: int = 0
-    randomize_ties: bool = True
 
     def __post_init__(self) -> None:
         if not 0 <= self.target_rate <= 100:
@@ -90,7 +93,7 @@ class FillResult:
     elapsed_ms: int
     restarts: int
     nodes_expanded: int
-    config: SolverConfig | None = None
+    config: SolverConfig
 
     @property
     def success(self) -> bool:
@@ -155,13 +158,11 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
     return min(tied, key=lambda sid: (-degree(sid), sid))
 
 
-def _ordered_candidates(
-    index: WordIndex, slot: Slot, state: FillState, rng: Random | None
-) -> list[int]:
+def _ordered_candidates(index: WordIndex, slot: Slot, state: FillState, rng: Random) -> list[int]:
     cands = index.candidates(
         slot.length, _slot_constraints(state, slot), state.used.get(slot.length, 0)
     )
-    if rng is not None and len(cands) > 1:
+    if len(cands) > 1:
         # Reshuffle within the topic and filler groups; topic-first ordering
         # stays intact, only the lexicographic tie-break is randomized.
         pool = index.by_length[slot.length]
@@ -184,7 +185,7 @@ def _run_episode(
     index: WordIndex,
     config: SolverConfig,
     state: FillState,
-    rng: Random | None,
+    rng: Random,
     deadline: float | None,
 ) -> Status:
     """One search from an empty fill; ``TIMEOUT`` means the budget or deadline cut it."""
@@ -240,10 +241,10 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     """Fill every slot subject to the topic quota.
 
     Runs restart episodes until success, exhaustion, or the global limit.
-    Episode i gets its own random state derived from (seed, i). A non-random
-    episode that exhausts its search space proves unsatisfiability
-    (``EXHAUSTED``); with tie randomization the engine keeps restarting and
-    ends in ``TIMEOUT`` instead.
+    Episode i shuffles candidates within the topic and filler groups with its
+    own random state derived from (seed, i). An episode that exhausts its
+    search space ends the solve with ``EXHAUSTED`` only under an unlimited
+    time limit; otherwise the engine keeps restarting and ends in ``TIMEOUT``.
     """
     total = len(slotset.slots)
     deterministic = config.node_budget is not None
@@ -253,23 +254,8 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     nodes_total = 0
     episodes = 0
 
-    if total == 0:
-        return FillResult(
-            status=Status.SUCCESS,
-            assignment={},
-            achieved_topic_ratio=1.0,
-            elapsed_ms=0,
-            restarts=0,
-            nodes_expanded=0,
-            config=config,
-        )
-
     while True:
-        rng = (
-            Random(derive_seed(config.seed, "episode", episodes))
-            if config.randomize_ties
-            else None
-        )
+        rng = Random(derive_seed(config.seed, "episode", episodes))
         state = FillState()
         if deterministic:
             deadline = None
@@ -288,9 +274,8 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
             )
         if outcome is Status.SUCCESS:
             break
-        if outcome is Status.EXHAUSTED and (not config.randomize_ties or max_episodes is None):
-            # Without randomization the search space is proven empty. With it
-            # and no episode cap (an unlimited time budget), restarting an
+        if outcome is Status.EXHAUSTED and max_episodes is None:
+            # With no episode cap (an unlimited time budget), restarting an
             # already fully explored space would spin forever.
             break
         if (max_episodes is not None and episodes >= max_episodes) or (
@@ -306,7 +291,7 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
 
     if outcome is Status.SUCCESS:
         assignment = {sid: e.answer for sid, e in state.assignment.items()}
-        ratio = state.topic_count / total
+        ratio = state.topic_count / total if total else 1.0
     else:
         assignment = {}
         ratio = 0.0
@@ -333,7 +318,6 @@ def maximize_topic_rate(slotset: SlotSet, index: WordIndex, config: SolverConfig
     failure when nothing succeeds). Later solves get only the wall time left,
     so the total stays within ``config.time_limit``.
     """
-    total = len(slotset.slots)
     started = time.monotonic()
     deterministic = config.node_budget is not None
     best: FillResult | None = None
@@ -343,7 +327,7 @@ def maximize_topic_rate(slotset: SlotSet, index: WordIndex, config: SolverConfig
         best = result
         achieved_percent = round(result.achieved_topic_ratio * 100)
         rate = max(rate, achieved_percent) + RATE_STEP
-        if total == 0 or rate > 100:
+        if rate > 100:
             break
         if deterministic:
             sub = replace(config, target_rate=rate)

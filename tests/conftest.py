@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,10 @@ from topicross.grid import (
     validate_pattern,
 )
 from topicross.lexicon import Lexicon, RawRecord, Source, WordIndex, build_index, ingest_records
+from topicross.solver import SolverConfig
+
+# No time limit: an exhausted search space ends the solve with EXHAUSTED.
+UNLIMITED = SolverConfig(target_rate=0, time_limit=math.inf, restart_interval=math.inf)
 
 # Rough natural-language letter weights so random words cross each other at
 # plausible rates; uniform letters make grids needlessly hostile.
@@ -112,7 +117,7 @@ def random_small_instance(rng: random.Random):
 
 @pytest.fixture(scope="session")
 def tiny_lexicon():
-    """Four two-letter words that admit exactly one 2x2 fill in canonical order."""
+    """Four two-letter words with exactly two 2x2 fills, one the transpose of the other."""
     records = [
         RawRecord("AB", Source.FILLER),
         RawRecord("CD", Source.FILLER),

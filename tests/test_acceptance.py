@@ -10,7 +10,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 import random
 import statistics
 import time
@@ -18,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_small_instance
+from conftest import UNLIMITED, random_small_instance
 from topicross.cli import main as cli_main
 from topicross.grid import extract_slots, generate_random_patterns
 from topicross.harness import SweepConfig, run_sweep
@@ -33,13 +32,6 @@ from topicross.solver import (
     solve,
 )
 from topicross.util import derive_seed
-
-UNLIMITED = SolverConfig(
-    target_rate=0,
-    time_limit=math.inf,
-    restart_interval=math.inf,
-    randomize_ties=False,
-)
 
 # Concentrated, vowel-heavy alphabet: letter-collision rates at crossings
 # resemble a natural word pool instead of uniform 26-letter noise.

@@ -156,6 +156,7 @@ class TestExitCodes:
                 id="tag-outside-text",
             ),
             pytest.param("puzzle", '{"pattern": 5}', id="puzzle-pattern-int"),
+            pytest.param("puzzle", "{bad", id="puzzle-bad-json"),
             pytest.param("puzzle", "[1]", id="puzzle-not-object"),
             pytest.param("puzzle", '{"pattern": "..", "entries": [5]}', id="puzzle-entry-int"),
             pytest.param(
@@ -169,6 +170,8 @@ class TestExitCodes:
             pytest.param("table", '{"mappings": {"a": 5}}', id="table-mapping-int"),
             pytest.param("table", "[1, 2]", id="table-not-object"),
             pytest.param("table", '{"mappings": {"a": " "}}', id="table-mapping-whitespace"),
+            pytest.param("table", "{bad", id="table-bad-json"),
+            pytest.param("render", '{"pattern": "..", "entries": [5]}', id="render-entry-int"),
         ],
     )
     def test_malformed_input(self, workdir, capsys, kind, content):
@@ -184,6 +187,7 @@ class TestExitCodes:
             "tagged": ["ingest", "--extractor", "pretagged", "--corpus", bad],
             "puzzle": ["verify", "--puzzle", bad, "--lexicon", workdir / "filler.txt"],
             "table": ingest + ["--corpus", workdir / "corpus.jsonl", "--table", bad],
+            "render": ["render", "--puzzle", bad],
         }[kind]
         assert run(argv) == 3
         err = capsys.readouterr().err
@@ -191,6 +195,8 @@ class TestExitCodes:
         assert "Traceback" not in err
         if kind == "corpus" and not isinstance(content, bytes):
             assert err.startswith(f"error: {bad}:1: ")
+        if kind in ("puzzle", "table", "render"):
+            assert err.startswith(f"error: {bad}: ")
 
 
 class TestPipelineCommands:

@@ -68,6 +68,12 @@ class TestNormalize:
     def test_custom_sequence_table(self):
         table = NormalizationTable(mappings={"ch": "X", "a": "A", "b": "B"})
         assert normalize("bach", table) == "BAX"
+        # keys listed shortest first: the longest match still wins
+        table = NormalizationTable(mappings={"s": "S", "ss": "Z", "sss": "Y"})
+        assert normalize("sssss", table) == "YZ"
+        # an empty key never matches, though its value joins the alphabet
+        table = NormalizationTable(mappings={"": "Z", "ch": "X", "a": "A"})
+        assert normalize("a-chZ", table) == "AXZ"
 
     @given(st.text(min_size=1, max_size=20))
     @settings(max_examples=200, deadline=None)
@@ -120,13 +126,14 @@ def assert_matches_oracle(table, surface):
 
 # Input characters mix keys, alphabet letters (some in both roles) and
 # characters no drawn table maps; values may be empty or two characters long.
+# Either kind of table may hold the empty key, which must never match.
 SURFACE_CHARS = "abcnAB-' \tßéΩж"
 VALUE_CHARS = "ABCNÑΩЖ"
 single_key_tables = st.dictionaries(
-    st.sampled_from(SURFACE_CHARS), st.text(VALUE_CHARS, max_size=2), max_size=8
+    st.sampled_from(SURFACE_CHARS) | st.just(""), st.text(VALUE_CHARS, max_size=2), max_size=8
 )
 multi_key_tables = st.dictionaries(
-    st.text(SURFACE_CHARS, min_size=1, max_size=3), st.text(VALUE_CHARS, max_size=2), max_size=8
+    st.text(SURFACE_CHARS, max_size=3), st.text(VALUE_CHARS, max_size=2), max_size=8
 ).filter(lambda mappings: any(len(key) > 1 for key in mappings))
 
 

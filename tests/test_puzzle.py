@@ -1,13 +1,12 @@
 """Puzzle assembly, independent verification, and serialization."""
 
 import json
-import math
 import random
 from dataclasses import replace
 
 import pytest
 
-from conftest import random_small_instance
+from conftest import UNLIMITED, random_small_instance
 from topicross.grid import extract_slots, parse_pattern
 from topicross.lexicon import RawRecord, Source, build_index, ingest_records
 from topicross.puzzle import (
@@ -20,13 +19,6 @@ from topicross.puzzle import (
     verify_puzzle,
 )
 from topicross.solver import FillResult, SolverConfig, Status, solve
-
-UNLIMITED = SolverConfig(
-    target_rate=0,
-    time_limit=math.inf,
-    restart_interval=math.inf,
-    randomize_ties=False,
-)
 
 
 def build(words):
@@ -97,6 +89,7 @@ class TestAssemble:
             elapsed_ms=1,
             restarts=0,
             nodes_expanded=1,
+            config=UNLIMITED,
         )
         with pytest.raises(ValueError):
             assemble(pattern, slotset, failed, lexicon)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import random_small_instance
+from conftest import UNLIMITED, random_small_instance
 from topicross import solver as solver_module
 from topicross.grid import extract_slots, parse_pattern
 from topicross.lexicon import RawRecord, Source, build_index, ingest_records
@@ -24,13 +24,6 @@ from topicross.solver import (
     quota_feasible,
     quota_needed,
     solve,
-)
-
-UNLIMITED = SolverConfig(
-    target_rate=0,
-    time_limit=math.inf,
-    restart_interval=math.inf,
-    randomize_ties=False,
 )
 
 
@@ -146,14 +139,23 @@ class TestSolveSmall:
         slotset = extract_slots(parse_pattern("..\n.."))
         result = solve(slotset, index, UNLIMITED)
         assert result.status is Status.SUCCESS
-        assert result.assignment == {0: "AB", 1: "CD", 2: "AC", 3: "BD"}
+        # the across and down words may swap: the two fills are transposes
+        assert result.assignment in (
+            {0: "AB", 1: "CD", 2: "AC", 3: "BD"},
+            {0: "AC", 1: "BD", 2: "AB", 3: "CD"},
+        )
 
     def test_empty_grid(self):
         _, index = lex_index([("AB", Source.FILLER, ())])
         slotset = extract_slots(parse_pattern("##\n##"))
-        result = solve(slotset, index, replace(UNLIMITED, target_rate=100))
-        assert result.status is Status.SUCCESS
-        assert result.assignment == {}
+        wall_clock = SolverConfig(target_rate=100, time_limit=30, restart_interval=10)
+        for config in (wall_clock, replace(wall_clock, node_budget=10)):
+            result = solve(slotset, index, config)
+            assert result.status is Status.SUCCESS
+            assert result.assignment == {}
+            assert result.achieved_topic_ratio == 1.0
+            assert result.nodes_expanded == 0
+            assert result.restarts == 0
 
     def test_empty_index(self):
         _, index = lex_index([])
@@ -220,7 +222,6 @@ class TestRestarts:
             target_rate=100,
             time_limit=math.inf,
             restart_interval=math.inf,
-            randomize_ties=True,
         )
         result = solve(slotset, index, config)
         assert result.status is Status.EXHAUSTED

@@ -43,6 +43,16 @@ def _parse_int_list(value: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_target_rate(value: str) -> int:
+    try:
+        rate = int(value)
+        if 0 <= rate <= 100:
+            return rate
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer in [0, 100], got {value!r}")
+
+
 def _load_json(path: str, convert: Callable[[object], T]) -> T:
     """Read, parse and convert a JSON file; a malformed one is a DataError naming it."""
     try:
@@ -81,11 +91,7 @@ def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
 def cmd_ingest(args: argparse.Namespace) -> int:
     table = _load_table(args.table)
     if args.gazetteer:
-        terms = [
-            line.strip()
-            for line in Path(args.gazetteer).read_text("utf-8").splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+        terms = lexicon.read_word_list(args.gazetteer)
         extractor: pipeline.KeywordFinder = pipeline.GazetteerExtractor(terms)
     elif args.extractor == "pretagged":
         extractor = pipeline.PreTaggedExtractor()
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--black", type=int)
     p.add_argument("--lexicon", nargs="+", required=True, metavar="FILE")
     p.add_argument("--table", help="normalization table JSON")
-    p.add_argument("--target-rate", type=int, default=50, metavar="T")
+    p.add_argument("--target-rate", type=_parse_target_rate, default=50, metavar="T")
     p.add_argument("--max-topic", action="store_true", help="maximize the topic rate")
     p.add_argument("--solution-free", action="store_true")
     p.add_argument("--format", choices=["json", "text"], default="json")
@@ -285,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--puzzle", required=True)
     p.add_argument("--lexicon", nargs="+", required=True, metavar="FILE")
     p.add_argument("--table")
-    p.add_argument("--target-rate", type=int, default=0, metavar="T")
+    p.add_argument("--target-rate", type=_parse_target_rate, default=0, metavar="T")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="puzzle JSON -> text grid and clues")

@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .util import DataError, json_field
+from .util import DataError, json_field, longest_first_pattern, numbered_lines
 
 
 class Source(Enum):
@@ -73,13 +73,11 @@ class NormalizationTable:
             raise ValueError(f"drop_policy must be {REJECT!r} or {SKIP!r}")
         alphabet = frozenset(ch for value in self.mappings.values() for ch in value)
         object.__setattr__(self, "_alphabet", alphabet)
-        # An empty key would match between every pair of characters.
-        keys = sorted((key for key in self.mappings if key), key=len, reverse=True)
         codes = pattern = None
-        if all(len(key) == 1 for key in keys):
-            codes = {ord(key): self.mappings[key] for key in keys}
+        if all(len(key) <= 1 for key in self.mappings):
+            codes = {ord(key): value for key, value in self.mappings.items() if key}
         else:
-            pattern = re.compile("|".join(map(re.escape, keys)))
+            pattern = longest_first_pattern(self.mappings)
         object.__setattr__(self, "_codes", codes)
         object.__setattr__(self, "_pattern", pattern)
 
@@ -215,16 +213,16 @@ class Lexicon:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One pre-normalization lexicon record as read from a source file."""
-
-    surface: str
-    source: Source
-    clues: tuple[str, ...] = ()
+# One pre-normalization lexicon record: (surface, source, clues).
+Record = tuple[str, Source, tuple[str, ...]]
 
 
-def read_lexicon_file(path: str | Path) -> list[RawRecord]:
+def read_word_list(path: str | Path) -> list[str]:
+    """The stripped non-blank lines of a plain word list, ``#`` comment lines dropped."""
+    return [line for _, line in numbered_lines(path) if not line.startswith("#")]
+
+
+def read_lexicon_file(path: str | Path) -> list[Record]:
     """Read one lexicon source file.
 
     ``.jsonl``/``.ndjson`` files hold one ``{"surface", "source", "clues"}``
@@ -232,42 +230,34 @@ def read_lexicon_file(path: str | Path) -> list[RawRecord]:
     per line, ``#`` comments ignored).
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    if path.suffix.lower() not in (".jsonl", ".ndjson"):
+        return [(word, Source.FILLER, ()) for word in read_word_list(path)]
     records = []
-    if path.suffix.lower() in (".jsonl", ".ndjson"):
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LexiconParseError(str(path), lineno, f"bad JSON: {exc}") from exc
-            if not isinstance(doc, dict) or "surface" not in doc:
-                raise LexiconParseError(str(path), lineno, "object with 'surface' required")
-            if not isinstance(doc["surface"], str) or not doc["surface"]:
-                raise LexiconParseError(str(path), lineno, "'surface' must be a non-empty string")
-            source_name = doc.get("source", "filler")
-            try:
-                source = Source(source_name)
-            except ValueError as exc:
-                raise LexiconParseError(
-                    str(path), lineno, f"unknown source {source_name!r}"
-                ) from exc
-            clues = doc.get("clues", [])
-            if not isinstance(clues, list) or not all(isinstance(c, str) for c in clues):
-                raise LexiconParseError(str(path), lineno, "'clues' must be a list of strings")
-            records.append(RawRecord(surface=doc["surface"], source=source, clues=tuple(clues)))
-    else:
-        for line in text.splitlines():
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            records.append(RawRecord(surface=word, source=Source.FILLER))
+    for lineno, line in numbered_lines(path):
+        try:
+            doc = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise LexiconParseError(str(path), lineno, f"bad JSON: {exc}") from exc
+        if not isinstance(doc, dict) or "surface" not in doc:
+            raise LexiconParseError(str(path), lineno, "object with 'surface' required")
+        if not isinstance(doc["surface"], str) or not doc["surface"]:
+            raise LexiconParseError(str(path), lineno, "'surface' must be a non-empty string")
+        source_name = doc.get("source", "filler")
+        try:
+            source = Source(source_name)
+        except ValueError as exc:
+            raise LexiconParseError(
+                str(path), lineno, f"unknown source {source_name!r}"
+            ) from exc
+        clues = doc.get("clues", [])
+        if not isinstance(clues, list) or not all(isinstance(c, str) for c in clues):
+            raise LexiconParseError(str(path), lineno, "'clues' must be a list of strings")
+        records.append((doc["surface"], source, tuple(clues)))
     return records
 
 
 def ingest_records(
-    records: Iterable[RawRecord], table: NormalizationTable = DEFAULT_TABLE
+    records: Iterable[Record], table: NormalizationTable = DEFAULT_TABLE
 ) -> Lexicon:
     """Normalize, deduplicate, and sort records into a Lexicon.
 
@@ -279,9 +269,9 @@ def ingest_records(
     skipped_short = 0
     skipped_unmappable = 0
     collisions = 0
-    for record in records:
+    for surface, source, record_clues in records:
         try:
-            answer = normalize(record.surface, table)
+            answer = normalize(surface, table)
         except TooShortError:
             skipped_short += 1
             continue
@@ -291,14 +281,14 @@ def ingest_records(
         existing = merged.get(answer)
         if existing is None:
             merged[answer] = LexiconEntry(
-                answer=answer, surface=record.surface, source=record.source, clues=record.clues
+                answer=answer, surface=surface, source=source, clues=record_clues
             )
             continue
         collisions += 1
-        clues = existing.clues + tuple(c for c in record.clues if c not in existing.clues)
-        if existing.source is Source.FILLER and record.source is Source.TOPIC:
+        clues = existing.clues + tuple(c for c in record_clues if c not in existing.clues)
+        if existing.source is Source.FILLER and source is Source.TOPIC:
             merged[answer] = LexiconEntry(
-                answer=answer, surface=record.surface, source=Source.TOPIC, clues=clues
+                answer=answer, surface=surface, source=Source.TOPIC, clues=clues
             )
         elif clues != existing.clues:
             merged[answer] = replace(existing, clues=clues)
@@ -318,7 +308,7 @@ def ingest_lexicon(
     paths: Sequence[str | Path], table: NormalizationTable = DEFAULT_TABLE
 ) -> Lexicon:
     """Ingest one or more lexicon files (see :func:`read_lexicon_file`)."""
-    records: list[RawRecord] = []
+    records: list[Record] = []
     for path in paths:
         records.extend(read_lexicon_file(path))
     return ingest_records(records, table)

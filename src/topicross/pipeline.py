@@ -8,12 +8,13 @@ swapping in a real NER tool means implementing one ``find`` method.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from .lexicon import NormalizationTable, DEFAULT_TABLE, normalize
-from .util import DataError, json_field
+from .util import DataError, json_field, longest_first_pattern, numbered_lines
 
 DEFAULT_MASK = "[Answer]"
 DEFAULT_TERMINATORS = frozenset(".!?。！？")
@@ -82,30 +83,15 @@ class GazetteerExtractor:
     """Longest-match, non-overlapping scan for terms from a fixed list."""
 
     def __init__(self, terms: Iterable[str]):
-        self.by_first: dict[str, list[str]] = {}
-        for term in set(terms):
-            if term:
-                self.by_first.setdefault(term[0], []).append(term)
-        for bucket in self.by_first.values():
-            bucket.sort(key=len, reverse=True)
+        self.pattern = longest_first_pattern(terms)
 
     def find(self, doc: Document) -> list[tuple[str, int, int]]:
-        text = doc.text
-        out = []
-        i = 0
-        n = len(text)
-        while i < n:
-            hit = None
-            for term in self.by_first.get(text[i], ()):
-                if text.startswith(term, i):
-                    hit = term
-                    break
-            if hit is None:
-                i += 1
-            else:
-                out.append((hit, i, i + len(hit)))
-                i += len(hit)
-        return out
+        return [(m.group(), m.start(), m.end()) for m in self.pattern.finditer(doc.text)]
+
+
+# A terminator at the very end needs no match: the tail span ends there too.
+# For str patterns ``\s`` matches exactly the characters ``str.isspace`` accepts.
+_SENTENCE_END = re.compile("[" + re.escape("".join(sorted(DEFAULT_TERMINATORS))) + r"]\s+")
 
 
 def sentence_spans(text: str) -> list[tuple[int, int]]:
@@ -117,19 +103,11 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     """
     spans = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] in DEFAULT_TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
-            spans.append((start, i + 1))
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-            start = i
-        else:
-            i += 1
-    if start < n:
-        spans.append((start, n))
+    for m in _SENTENCE_END.finditer(text):
+        spans.append((start, m.start() + 1))
+        start = m.end()
+    if start < len(text):
+        spans.append((start, len(text)))
     return spans
 
 
@@ -281,9 +259,7 @@ def read_corpus_jsonl(path: str | Path) -> list[Document]:
     object or has a field of the wrong type.
     """
     docs = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered_lines(path):
         where = f"{path}:{lineno}"
         try:
             doc = json.loads(line)

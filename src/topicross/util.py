@@ -1,12 +1,14 @@
-"""Shared helpers: the data-error base class, stable seed derivation and
-atomic file writes."""
+"""Shared helpers: the data-error base class, line reading, the longest-match
+pattern, stable seed derivation and atomic file writes."""
 
 from __future__ import annotations
 
 import hashlib
 import os
+import re
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 
 class DataError(ValueError):
@@ -40,6 +42,29 @@ def json_field(
         expected = " or ".join(k.__name__ for k in kinds)
         raise DataError(f"{where}: {key!r} must be {expected}, got {type(value).__name__}")
     return value
+
+
+def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The stripped non-blank lines of a UTF-8 text file, with 1-based numbers.
+
+    A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``. ``str.splitlines`` also
+    breaks at U+0085, U+2028 and the other Unicode separators, which
+    ``json.dumps(..., ensure_ascii=False)`` writes unescaped inside strings.
+    """
+    # read_text's universal newlines have already turned \r\n and \r into \n.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    return [(n, stripped) for n, line in enumerate(lines, 1) if (stripped := line.strip())]
+
+
+def longest_first_pattern(keys: Iterable[str]) -> re.Pattern[str]:
+    """One alternation of the non-empty keys, longest first.
+
+    At each position the first branch that matches wins, which is the longest
+    matching key. With no keys the pattern never matches; an empty
+    alternation would match ``""`` everywhere.
+    """
+    terms = sorted({key for key in keys if key}, key=len, reverse=True)
+    return re.compile("|".join(map(re.escape, terms)) or "(?!)")
 
 
 def derive_seed(*parts: object) -> int:

@@ -13,7 +13,7 @@ from topicross.grid import (
     generate_random_patterns,
     validate_pattern,
 )
-from topicross.lexicon import Lexicon, RawRecord, Source, WordIndex, build_index, ingest_records
+from topicross.lexicon import Lexicon, Source, WordIndex, build_index, ingest_records
 from topicross.solver import SolverConfig
 
 # No time limit: an exhausted search space ends the solve with EXHAUSTED.
@@ -55,8 +55,8 @@ def make_lexicon(
     rng = random.Random(seed)
     words = make_words(rng, n_topic + n_filler, alphabet, weights, lengths)
     rng.shuffle(words)
-    records = [RawRecord(w, Source.TOPIC) for w in words[:n_topic]] + [
-        RawRecord(w, Source.FILLER) for w in words[n_topic:]
+    records = [(w, Source.TOPIC, ()) for w in words[:n_topic]] + [
+        (w, Source.FILLER, ()) for w in words[n_topic:]
     ]
     lexicon = ingest_records(records)
     return lexicon, build_index(lexicon)
@@ -99,7 +99,7 @@ def random_small_instance(rng: random.Random):
         )
         rng.shuffle(words)
         records = [
-            RawRecord(w, Source.TOPIC if rng.random() < 0.4 else Source.FILLER)
+            (w, Source.TOPIC if rng.random() < 0.4 else Source.FILLER, ())
             for w in words
         ]
         lexicon = ingest_records(records)
@@ -119,10 +119,10 @@ def random_small_instance(rng: random.Random):
 def tiny_lexicon():
     """Four two-letter words with exactly two 2x2 fills, one the transpose of the other."""
     records = [
-        RawRecord("AB", Source.FILLER),
-        RawRecord("CD", Source.FILLER),
-        RawRecord("AC", Source.FILLER),
-        RawRecord("BD", Source.FILLER),
+        ("AB", Source.FILLER, ()),
+        ("CD", Source.FILLER, ()),
+        ("AC", Source.FILLER, ()),
+        ("BD", Source.FILLER, ()),
     ]
     lexicon = ingest_records(records)
     return lexicon, build_index(lexicon)

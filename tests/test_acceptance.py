@@ -21,7 +21,7 @@ from conftest import UNLIMITED, random_small_instance
 from topicross.cli import main as cli_main
 from topicross.grid import extract_slots, generate_random_patterns
 from topicross.harness import SweepConfig, run_sweep
-from topicross.lexicon import RawRecord, Source, build_index, ingest_records
+from topicross.lexicon import Source, build_index, ingest_records
 from topicross.pipeline import DEFAULT_MASK, Document, GazetteerExtractor, build_topic_lexicon
 from topicross.puzzle import assemble, verify_puzzle
 from topicross.solver import (
@@ -77,8 +77,8 @@ def synthetic_index(n_topic: int, n_filler: int, seed: int):
     topic = synthetic_words(rng, n_topic, TOPIC_LENGTHS)
     filler = synthetic_words(rng, n_filler, FILLER_LENGTHS, avoid=set(topic))
     lexicon = ingest_records(
-        [RawRecord(w, Source.TOPIC) for w in topic]
-        + [RawRecord(w, Source.FILLER) for w in filler]
+        [(w, Source.TOPIC, ()) for w in topic]
+        + [(w, Source.FILLER, ()) for w in filler]
     )
     return lexicon, build_index(lexicon)
 
@@ -329,7 +329,7 @@ def test_criterion_7_pipeline_correctness():
 def test_criterion_8_restart_semantics():
     rng = random.Random(88)
     filler = synthetic_words(rng, 500, FILLER_LENGTHS)
-    lexicon = ingest_records([RawRecord(w, Source.FILLER) for w in filler])
+    lexicon = ingest_records([(w, Source.FILLER, ()) for w in filler])
     index = build_index(lexicon)
     pattern = generate_random_patterns(7, 7, 11, 1, seed=3)[0]
     slotset = extract_slots(pattern)

@@ -56,6 +56,22 @@ class TestExitCodes:
             ]
         )
         assert code == 2
+        puzzle = workdir / "puzzle.json"
+        assert run(
+            [
+                "generate", "--size", "4x4", "--black", "2",
+                "--lexicon", workdir / "filler.txt", "--target-rate", "0",
+                "--node-budget", "100000", "--out", puzzle,
+            ]
+        ) == 0
+        for rate in ("150", "-5"):
+            code = run(
+                [
+                    "verify", "--puzzle", puzzle,
+                    "--lexicon", workdir / "filler.txt", "--target-rate", rate,
+                ]
+            )
+            assert code == 2
 
     def test_missing_file(self, workdir, capsys):
         code = run(
@@ -237,6 +253,47 @@ class TestPipelineCommands:
         assert run(["render", "--puzzle", out]) == 0
         rendered = capsys.readouterr().out
         assert "ACROSS" in rendered and "DOWN" in rendered
+
+    @pytest.mark.parametrize("ensure_ascii", [True, False], ids=["escaped", "raw"])
+    def test_unicode_line_separators_round_trip(self, workdir, capsys, ensure_ascii):
+        # U+2028 and U+0085 end a line for str.splitlines but not in JSON Lines;
+        # ingest writes them unescaped into its clues.
+        corpus = workdir / "corpus.jsonl"
+        doc = {"doc_id": "d", "text": "The Atlas rollout beat\u2028its schedule\x85this spring."}
+        corpus.write_text(json.dumps(doc, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+        topic = workdir / "topic.jsonl"
+        assert run(
+            [
+                "ingest", "--corpus", corpus,
+                "--gazetteer", workdir / "terms.txt", "--out", topic,
+            ]
+        ) == 0
+        assert [json.loads(line) for line in topic.read_text("utf-8").split("\n") if line] == [
+            {
+                "surface": "Atlas",
+                "source": "topic",
+                "clues": ["The [Answer] rollout beat\u2028its schedule\x85this spring."],
+            }
+        ]
+        assert run(
+            [
+                "generate", "--size", "4x4", "--black", "2",
+                "--lexicon", topic, workdir / "filler.txt",
+                "--target-rate", "0", "--node-budget", "100000",
+                "--out", workdir / "puzzle.json",
+            ]
+        ) == 0
+
+    def test_gazetteer_skips_indented_comments(self, workdir, capsys):
+        corpus = workdir / "corpus.jsonl"
+        doc = {"doc_id": "d", "text": "Atlas filed a # note on the rollout this spring."}
+        corpus.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        terms = workdir / "terms.txt"
+        terms.write_text("Atlas\n  # note\n", encoding="utf-8")
+        topic = workdir / "topic.jsonl"
+        assert run(["ingest", "--corpus", corpus, "--gazetteer", terms, "--out", topic]) == 0
+        assert [json.loads(line)["surface"] for line in topic.read_text("utf-8").split("\n")
+                if line] == ["Atlas"]
 
     def test_verify_catches_quota_shortfall(self, workdir, capsys):
         topic = workdir / "topic.jsonl"

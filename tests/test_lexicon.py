@@ -14,7 +14,6 @@ from topicross.lexicon import (
     LexiconEntry,
     LexiconParseError,
     NormalizationTable,
-    RawRecord,
     Source,
     TooShortError,
     UnmappableCharacterError,
@@ -27,7 +26,7 @@ from topicross.lexicon import (
 
 
 def lex(records):
-    return ingest_records([RawRecord(s, src, tuple(c)) for s, src, c in records])
+    return ingest_records([(s, src, tuple(c)) for s, src, c in records])
 
 
 def entry_words(entries):
@@ -227,7 +226,7 @@ class TestLexiconFiles:
         path = tmp_path / "words.txt"
         path.write_text("# comment\nalpha\n\nbeta\n", encoding="utf-8")
         records = read_lexicon_file(path)
-        assert [(r.surface, r.source) for r in records] == [
+        assert [(surface, source) for surface, source, _ in records] == [
             ("alpha", Source.FILLER),
             ("beta", Source.FILLER),
         ]
@@ -240,8 +239,8 @@ class TestLexiconFiles:
             encoding="utf-8",
         )
         records = read_lexicon_file(path)
-        assert records[0] == RawRecord("liberal", Source.TOPIC, ("c1",))
-        assert records[1] == RawRecord("atoll", Source.FILLER, ())
+        assert records[0] == ("liberal", Source.TOPIC, ("c1",))
+        assert records[1] == ("atoll", Source.FILLER, ())
 
     def test_jsonl_errors(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -364,7 +363,7 @@ class TestWordIndex:
         rng = random.Random(17)
         words = {"".join(rng.choices("noza", k=rng.randint(2, 6))) for _ in range(300)}
         records = [
-            RawRecord(w, Source.TOPIC if rng.random() < 0.3 else Source.FILLER)
+            (w, Source.TOPIC if rng.random() < 0.3 else Source.FILLER, ())
             for w in sorted(words)
         ]
         ingested = ingest_records(records, table)
@@ -431,7 +430,7 @@ def _random_lexicon_index(seed):
     while len(words) < 200:
         words.add("".join(rng.choices("ABCDE", k=rng.randint(2, 6))))
     records = [
-        RawRecord(w, Source.TOPIC if rng.random() < 0.3 else Source.FILLER)
+        (w, Source.TOPIC if rng.random() < 0.3 else Source.FILLER, ())
         for w in sorted(words)
     ]
     lexicon = ingest_records(records)

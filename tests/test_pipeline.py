@@ -1,9 +1,11 @@
 """Keyword extraction and fill-in-the-blank clue generation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from topicross.pipeline import (
     DEFAULT_MASK,
+    DEFAULT_TERMINATORS,
     Document,
     GazetteerExtractor,
     KeywordOccurrence,
@@ -49,6 +51,73 @@ class TestGazetteer:
     def test_empty_terms(self):
         doc = Document("d", "nothing here")
         assert extract_keywords(doc, GazetteerExtractor([])) == []
+
+
+def reference_find(terms, text):
+    """First-letter index plus a longest-match loop; the gazetteer oracle."""
+    by_first = {}
+    for term in set(terms):
+        if term:
+            by_first.setdefault(term[0], []).append(term)
+    for bucket in by_first.values():
+        bucket.sort(key=len, reverse=True)
+    out = []
+    i = 0
+    while i < len(text):
+        for term in by_first.get(text[i], ()):
+            if text.startswith(term, i):
+                out.append((term, i, i + len(term)))
+                i += len(term)
+                break
+        else:
+            i += 1
+    return out
+
+
+def reference_sentence_spans(text):
+    """Character-by-character sentence splitter; the sentence oracle."""
+    spans = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] in DEFAULT_TERMINATORS and (i + 1 == n or text[i + 1].isspace()):
+            spans.append((start, i + 1))
+            i += 1
+            while i < n and text[i].isspace():
+                i += 1
+            start = i
+        else:
+            i += 1
+    if start < n:
+        spans.append((start, n))
+    return spans
+
+
+# A small alphabet makes shared prefixes and duplicate terms common; "." and
+# "?" check that terms are matched literally. The whitespace characters mix
+# ASCII, C0/C1 separators and Unicode spaces.
+TERM_CHARS = "ab.?"
+WHITESPACE = " \t\n\x1c\x85\xa0\u3000"
+TEXT_CHARS = "ab" + "".join(sorted(DEFAULT_TERMINATORS)) + WHITESPACE
+
+
+class TestScannerEquivalence:
+    """The regex scanners against the loops they replaced."""
+
+    @given(
+        terms=st.lists(st.text(TERM_CHARS, max_size=4), max_size=8),
+        text=st.text(TEXT_CHARS, max_size=40),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_gazetteer_find(self, terms, text):
+        found = GazetteerExtractor(terms).find(Document("d", text))
+        assert found == reference_find(terms, text)
+
+    @given(text=st.text(TEXT_CHARS, max_size=40))
+    @settings(max_examples=400, deadline=None)
+    def test_sentence_spans(self, text):
+        assert sentence_spans(text) == reference_sentence_spans(text)
 
 
 class TestPreTagged:

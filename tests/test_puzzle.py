@@ -8,7 +8,7 @@ import pytest
 
 from conftest import UNLIMITED, random_small_instance
 from topicross.grid import extract_slots, parse_pattern
-from topicross.lexicon import RawRecord, Source, build_index, ingest_records
+from topicross.lexicon import Source, build_index, ingest_records
 from topicross.puzzle import (
     MissingEntryError,
     assemble,
@@ -22,7 +22,7 @@ from topicross.solver import FillResult, SolverConfig, Status, solve
 
 
 def build(words):
-    lexicon = ingest_records([RawRecord(w, src, tuple(c)) for w, src, c in words])
+    lexicon = ingest_records([(w, src, tuple(c)) for w, src, c in words])
     return lexicon, build_index(lexicon)
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import UNLIMITED, random_small_instance
 from topicross import solver as solver_module
 from topicross.grid import extract_slots, parse_pattern
-from topicross.lexicon import RawRecord, Source, build_index, ingest_records
+from topicross.lexicon import Source, build_index, ingest_records
 from topicross.puzzle import assemble, verify_puzzle
 from topicross.solver import (
     BruteForceResult,
@@ -28,7 +28,7 @@ from topicross.solver import (
 
 
 def lex_index(words):
-    records = [RawRecord(w, src, tuple(clues)) for w, src, clues in words]
+    records = [(w, src, tuple(clues)) for w, src, clues in words]
     lexicon = ingest_records(records)
     return lexicon, build_index(lexicon)
 
@@ -317,7 +317,7 @@ class TestAgainstOracle:
 class TestMaximizeTopicRate:
     def test_all_topic_lexicon(self, tiny_lexicon):
         lexicon, _ = tiny_lexicon
-        records = [RawRecord(e.answer, Source.TOPIC) for e in lexicon.entries]
+        records = [(e.answer, Source.TOPIC, ()) for e in lexicon.entries]
         index = build_index(ingest_records(records))
         slotset = extract_slots(parse_pattern("..\n.."))
         result = maximize_topic_rate(slotset, index, UNLIMITED)

@@ -39,7 +39,6 @@ from .solver import (
     Status,
     brute_force_solve,
     maximize_topic_rate,
-    quota_feasible,
     solve,
 )
 from .harness import ExperimentRecord, SweepConfig, run_sweep, summarize
@@ -77,7 +76,6 @@ __all__ = [
     "normalize",
     "parse_pattern",
     "puzzle_to_json",
-    "quota_feasible",
     "render_pattern",
     "render_text",
     "run_sweep",

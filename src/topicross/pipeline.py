@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
@@ -111,19 +113,16 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def _enclosing_span(
-    spans: Sequence[tuple[int, int]], start: int, end: int
-) -> tuple[int, int]:
-    """Smallest run of sentence spans covering [start, end)."""
-    lo = hi = None
-    for s, e in spans:
-        if s <= start < e:
-            lo = s
-        if s < end <= e:
-            hi = e
-    if lo is None or hi is None:
+def _enclosing_span(spans: Sequence[tuple[int, int]], start: int, end: int) -> tuple[int, int]:
+    """Smallest run of sentence spans covering [start, end).
+
+    Spans are sorted and disjoint: only the last one starting at or before
+    ``start`` can hold it, and only the first one ending at or after ``end``."""
+    i = bisect_right(spans, start, key=itemgetter(0)) - 1
+    j = bisect_left(spans, end, key=itemgetter(1))
+    if i < 0 or start >= spans[i][1] or j == len(spans) or spans[j][0] >= end:
         raise OffsetOutOfRangeError(f"offsets ({start}, {end}) not inside any sentence")
-    return lo, hi
+    return spans[i][0], spans[j][1]
 
 
 def extract_keywords(doc: Document, extractor: KeywordFinder) -> list[KeywordOccurrence]:

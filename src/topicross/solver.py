@@ -3,9 +3,10 @@
 Depth-first backtracking over slots: most-constrained slot first, topic
 candidates before filler, seeded tie shuffling per restart episode. A fill
 succeeds only when every slot is assigned and at least ``target_rate`` percent
-of the placed answers are topic words. Episodes restart on a fixed cadence
-(wall-clock interval, or a node budget in deterministic mode) with fresh
-random states.
+of the placed answers are topic words. A filler candidate that would leave the
+quota unreachable is counted as an expanded node without being placed, so node
+counts are unchanged. Episodes restart on a fixed cadence (wall-clock
+interval, or a node budget in deterministic mode) with fresh random states.
 
 ``brute_force_solve`` is an independent exhaustive oracle for small instances;
 it shares no search code with the main engine.
@@ -105,16 +106,6 @@ def quota_needed(total_slots: int, target_rate: int) -> int:
     return -(-total_slots * target_rate // 100)
 
 
-def quota_feasible(state: FillState, total_slots: int, target_rate: int) -> bool:
-    """True while the quota is still reachable.
-
-    Best case assigns topic words to every remaining slot, so pruning on this
-    bound never cuts a state extendable to a quota-satisfying fill.
-    """
-    unassigned = total_slots - len(state.assignment)
-    return state.topic_count + unassigned >= quota_needed(total_slots, target_rate)
-
-
 def _slot_constraints(state: FillState, slot: Slot) -> list[tuple[int, str]]:
     letters = state.cell_letters
     return [(i, letters[cell]) for i, cell in enumerate(slot.cells) if cell in letters]
@@ -158,22 +149,23 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
     return min(tied, key=lambda sid: (-degree(sid), sid))
 
 
-def _ordered_candidates(index: WordIndex, slot: Slot, state: FillState, rng: Random) -> list[int]:
+def _ordered_candidates(
+    index: WordIndex, slot: Slot, state: FillState, rng: Random
+) -> tuple[list[int], int]:
+    """Candidate ranks, topic words first, and how many of them are topic."""
     cands = index.candidates(
         slot.length, _slot_constraints(state, slot), state.used.get(slot.length, 0)
     )
-    if len(cands) > 1:
-        # Reshuffle within the topic and filler groups; topic-first ordering
-        # stays intact, only the lexicographic tie-break is randomized.
-        pool = index.by_length[slot.length]
-        split = 0
-        while split < len(cands) and pool[cands[split]].source is Source.TOPIC:
-            split += 1
-        topic, filler = cands[:split], cands[split:]
-        rng.shuffle(topic)
-        rng.shuffle(filler)
-        cands = topic + filler
-    return cands
+    # Reshuffle within the topic and filler groups; topic-first ordering
+    # stays intact, only the lexicographic tie-break is randomized.
+    pool = index.by_length.get(slot.length, ())
+    split = 0
+    while split < len(cands) and pool[cands[split]].source is Source.TOPIC:
+        split += 1
+    topic, filler = cands[:split], cands[split:]
+    rng.shuffle(topic)
+    rng.shuffle(filler)
+    return topic + filler, split
 
 
 class _EpisodeCut(Exception):
@@ -194,14 +186,18 @@ def _run_episode(
     budget = config.node_budget
     slots = slotset.slots
 
+    # Invariant: topic_count + open slots >= need. It holds at the root, a
+    # topic placement keeps it, and no filler that breaks it is placed.
     def dfs() -> bool:
         if len(state.assignment) == total:
             return state.topic_count >= need
-        if not quota_feasible(state, total, config.target_rate):
-            return False
         slot = slots[choose_next_slot(state, slotset, index)]
         pool = index.by_length.get(slot.length, ())
-        for rank in _ordered_candidates(index, slot, state, rng):
+        ranks, n_topic = _ordered_candidates(index, slot, state, rng)
+        # A filler here would leave the quota unreachable: search only the
+        # topic candidates, then count each filler as an expanded node.
+        doomed = state.topic_count + total - len(state.assignment) - 1 < need
+        for rank in ranks[:n_topic] if doomed else ranks:
             if budget is not None and state.nodes_expanded >= budget:
                 raise _EpisodeCut
             if deadline is not None and time.monotonic() > deadline:
@@ -229,6 +225,12 @@ def _run_episode(
             if entry.source is Source.TOPIC:
                 state.topic_count -= 1
             del state.assignment[slot.slot_id]
+        if doomed:
+            state.nodes_expanded += len(ranks) - n_topic
+            if budget is not None and state.nodes_expanded > budget:
+                # counted one at a time, they would stop at the budget
+                state.nodes_expanded = budget
+                raise _EpisodeCut
         return False
 
     try:

@@ -12,6 +12,7 @@ from topicross.pipeline import (
     OffsetOutOfRangeError,
     PreTaggedExtractor,
     SentenceTooShortError,
+    _enclosing_span,
     build_topic_lexicon,
     extract_keywords,
     generate_clue,
@@ -94,6 +95,19 @@ def reference_sentence_spans(text):
     return spans
 
 
+def reference_enclosing_span(spans, start, end):
+    """Scan every span for the ends of [start, end); the enclosing-span oracle."""
+    lo = hi = None
+    for s, e in spans:
+        if s <= start < e:
+            lo = s
+        if s < end <= e:
+            hi = e
+    if lo is None or hi is None:
+        raise OffsetOutOfRangeError(f"offsets ({start}, {end}) not inside any sentence")
+    return lo, hi
+
+
 # A small alphabet makes shared prefixes and duplicate terms common; "." and
 # "?" check that terms are matched literally. The whitespace characters mix
 # ASCII, C0/C1 separators and Unicode spaces.
@@ -118,6 +132,22 @@ class TestScannerEquivalence:
     @settings(max_examples=400, deadline=None)
     def test_sentence_spans(self, text):
         assert sentence_spans(text) == reference_sentence_spans(text)
+
+    @given(text=st.text("ab .!?\n", max_size=40), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_enclosing_span(self, text, data):
+        # Offsets may fall in the gaps between sentences, before the text or
+        # past it (``end == len(text) + 1`` included), and start may pass end.
+        offset = st.integers(-2, len(text) + 1)
+        start, end = data.draw(offset), data.draw(offset)
+        spans = sentence_spans(text)
+        try:
+            expected = reference_enclosing_span(spans, start, end)
+        except OffsetOutOfRangeError:
+            with pytest.raises(OffsetOutOfRangeError):
+                _enclosing_span(spans, start, end)
+        else:
+            assert _enclosing_span(spans, start, end) == expected
 
 
 class TestPreTagged:

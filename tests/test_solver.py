@@ -21,7 +21,6 @@ from topicross.solver import (
     brute_force_solve,
     choose_next_slot,
     maximize_topic_rate,
-    quota_feasible,
     quota_needed,
     solve,
 )
@@ -47,17 +46,6 @@ class TestQuota:
         assert quota_needed(11, 50) == 6
         assert quota_needed(10, 0) == 0
         assert quota_needed(3, 100) == 3
-
-    def test_feasible_examples(self):
-        state = state_with(assignment={i: None for i in range(7)}, topic_count=2)
-        assert quota_feasible(state, 10, 50) is True  # 2 + 3 >= 5
-        state = state_with(assignment={i: None for i in range(7)}, topic_count=1)
-        assert quota_feasible(state, 10, 50) is False  # 1 + 3 < 5
-
-    def test_zero_rate_always_feasible(self):
-        for assigned in range(5):
-            state = state_with(assignment={i: None for i in range(assigned)})
-            assert quota_feasible(state, 5, 0)
 
 
 class TestChooseNextSlot:
@@ -195,6 +183,24 @@ class TestRestarts:
         result = solve(slotset, index, config)
         assert result.status is Status.TIMEOUT
         assert result.restarts + 1 == config.max_episodes == 3
+
+    @pytest.mark.parametrize(
+        "node_budget, nodes, elapsed_ms",
+        [(3, 9, 30_000), (4, 12, 30_000), (8, 12, 15_000)],
+    )
+    def test_budget_cut_among_quota_doomed_fillers(self, node_budget, nodes, elapsed_ms):
+        # At 100% every candidate is a filler that would leave the quota
+        # unreachable: each counts as a node, and a budget smaller than the
+        # 4-candidate run cuts the episode exactly at the budget.
+        _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
+        slotset = extract_slots(parse_pattern("..\n.."))
+        config = SolverConfig(
+            target_rate=100, node_budget=node_budget, time_limit=30, restart_interval=10
+        )
+        result = solve(slotset, index, config)
+        assert (result.status, result.nodes_expanded, result.elapsed_ms, result.restarts) == (
+            Status.TIMEOUT, nodes, elapsed_ms, 2
+        )
 
     def test_wall_clock_unsat_times_out_quickly(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])

@@ -193,7 +193,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     pzl = _load_json(args.puzzle, puzzle.deserialize_puzzle)
-    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table))
+    # verify_puzzle looks up only the puzzle's answers, so no other entry is built.
+    answers = {entry.answer for entry in pzl.entries}
+    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table), answers)
     report = puzzle.verify_puzzle(pzl, lex, args.target_rate)
     if report.ok:
         print("puzzle OK")

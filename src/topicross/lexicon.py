@@ -13,7 +13,7 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .util import DataError, json_field, longest_first_pattern, numbered_lines
 
@@ -257,13 +257,22 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
 
 
 def ingest_records(
-    records: Iterable[Record], table: NormalizationTable = DEFAULT_TABLE
+    records: Iterable[Record],
+    table: NormalizationTable = DEFAULT_TABLE,
+    answers: Container[str] | None = None,
 ) -> Lexicon:
     """Normalize, deduplicate, and sort records into a Lexicon.
 
     Collisions on the same answer keep the topic tag when either side has it,
     and union the clue lists in first-seen order. Records that fail
     normalization are skipped and counted, never fatal.
+
+    With ``answers`` set, every record is still normalized, but one whose
+    normalized answer is not in ``answers`` is dropped before the merge: each
+    kept answer gets the same entry as in an unfiltered load. The
+    ``skipped_short`` and ``skipped_unmappable`` stats then still count every
+    record, while ``topic``, ``filler`` and ``collisions`` count only the kept
+    answers.
     """
     merged: dict[str, LexiconEntry] = {}
     skipped_short = 0
@@ -277,6 +286,8 @@ def ingest_records(
             continue
         except UnmappableCharacterError:
             skipped_unmappable += 1
+            continue
+        if answers is not None and answer not in answers:
             continue
         existing = merged.get(answer)
         if existing is None:
@@ -305,13 +316,19 @@ def ingest_records(
 
 
 def ingest_lexicon(
-    paths: Sequence[str | Path], table: NormalizationTable = DEFAULT_TABLE
+    paths: Sequence[str | Path],
+    table: NormalizationTable = DEFAULT_TABLE,
+    answers: Container[str] | None = None,
 ) -> Lexicon:
-    """Ingest one or more lexicon files (see :func:`read_lexicon_file`)."""
+    """Ingest one or more lexicon files (see :func:`read_lexicon_file`).
+
+    Every file is read and validated in full; ``answers`` is passed to
+    :func:`ingest_records`, which keeps only those answers when it is set.
+    """
     records: list[Record] = []
     for path in paths:
         records.extend(read_lexicon_file(path))
-    return ingest_records(records, table)
+    return ingest_records(records, table, answers)
 
 
 class WordIndex:

@@ -61,7 +61,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0 <= self.target_rate <= 100:
             raise ValueError(f"target_rate must be in [0, 100], got {self.target_rate}")
-        if self.time_limit <= 0 or self.restart_interval <= 0:
+        # written as "not > 0" so that NaN fails too
+        if not (self.time_limit > 0 and self.restart_interval > 0):
             raise ValueError("time_limit and restart_interval must be positive")
         if self.restart_interval > self.time_limit:
             raise ValueError("restart_interval must not exceed time_limit")

@@ -28,7 +28,9 @@ def json_field(
 
     An absent key gives ``default`` when one is passed. Raises
     :class:`DataError`, prefixed with ``where``, when ``doc`` is not a JSON
-    object, a required key is absent, or the value has the wrong type.
+    object, a required key is absent, or the value has the wrong type. A JSON
+    ``true``/``false`` is of type ``bool`` only, never ``int``, although
+    ``bool`` subclasses ``int`` in Python.
     """
     if not isinstance(doc, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(doc).__name__}")
@@ -37,8 +39,8 @@ def json_field(
             raise DataError(f"{where}: missing {key!r}")
         return default
     value = doc[key]
-    if not isinstance(value, kind):
-        kinds = kind if isinstance(kind, tuple) else (kind,)
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         expected = " or ".join(k.__name__ for k in kinds)
         raise DataError(f"{where}: {key!r} must be {expected}, got {type(value).__name__}")
     return value

@@ -118,6 +118,20 @@ class TestExitCodes:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--time-limit", "--restart-interval"])
+    def test_nan_seconds(self, workdir, capsys, flag):
+        out = workdir / "never.json"
+        code = run(
+            [
+                "generate", "--size", "4x4", "--black", "2",
+                "--lexicon", workdir / "filler.txt", flag, "nan", "--out", out,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: time_limit and restart_interval must be positive\n"
+        assert not out.exists()
+
     def test_non_string_surface(self, workdir, capsys):
         bad = workdir / "bad.jsonl"
         bad.write_text('{"surface": 5, "source": "topic"}\n', encoding="utf-8")
@@ -182,6 +196,14 @@ class TestExitCodes:
                 '"metadata": {"target_rate": 0, "achieved_topic_ratio": 1.0, "seed": 0, '
                 '"elapsed_ms": 0, "restarts": 0}}',
                 id="puzzle-answer-int",
+            ),
+            pytest.param(
+                "puzzle",
+                '{"pattern": "..", "entries": [{"slot_id": true, "orientation": "across", '
+                '"row": true, "col": false, "answer": "AB", "source": "filler", "clue": "c"}], '
+                '"metadata": {"target_rate": 0, "achieved_topic_ratio": 1.0, "seed": 0, '
+                '"elapsed_ms": 0, "restarts": 0}}',
+                id="puzzle-slot-id-bool",
             ),
             pytest.param("table", '{"mappings": {"a": 5}}', id="table-mapping-int"),
             pytest.param("table", "[1, 2]", id="table-not-object"),
@@ -348,6 +370,23 @@ class TestPipelineCommands:
         assert code == 1
         kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert kinds == ["source-mismatch"] * 4 + ["quota"]
+
+    def test_verify_checks_records_of_answers_not_in_the_puzzle(self, workdir, capsys):
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        (workdir / "p.txt").write_text("..\n..\n", encoding="utf-8")
+        pzl = workdir / "pz.json"
+        assert run(
+            [
+                "generate", "--pattern", workdir / "p.txt", "--lexicon", words,
+                "--target-rate", "0", "--node-budget", "100", "--out", pzl,
+            ]
+        ) == 0
+        bad = workdir / "bad.jsonl"
+        bad.write_text('{"surface": "ZZZ", "source": "nope"}\n', encoding="utf-8")
+        capsys.readouterr()
+        assert run(["verify", "--puzzle", pzl, "--lexicon", words, bad]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}:1: ")
 
     def test_patterns_command(self, workdir):
         out = workdir / "patterns.txt"

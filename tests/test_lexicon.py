@@ -213,6 +213,25 @@ class TestIngest:
         assert len(lexicon) == 1
         assert lexicon.stats.skipped_short == 2
 
+    def test_filtered_load(self):
+        records = [
+            ("a", Source.FILLER, ()),          # too short
+            ("at?", Source.FILLER, ()),        # unmappable
+            ("atoll", Source.FILLER, ()),
+            ("liberal", Source.FILLER, ("dict clue",)),
+            ("Libéral", Source.TOPIC, ("news clue",)),
+            ("ok", Source.TOPIC, ()),
+            ("ok", Source.FILLER, ()),
+        ]
+        table = replace(DEFAULT_TABLE, drop_policy=REJECT)
+        full = ingest_records(records, table)
+        filtered = ingest_records(records, table, answers={"LIBERAL", "ZZ"})
+        assert filtered.entries == (full.lookup("LIBERAL"),)
+        # the skip counters cover every record, the rest only the kept answers
+        assert (full.stats.skipped_short, full.stats.skipped_unmappable) == (1, 1)
+        assert filtered.stats == replace(full.stats, topic=1, filler=0, collisions=1)
+        assert full.stats.collisions == 2
+
     def test_entries_sorted_and_deduped(self):
         rng = random.Random(5)
         words = ["".join(rng.choices("abcde", k=3)) for _ in range(200)]

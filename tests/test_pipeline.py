@@ -16,9 +16,11 @@ from topicross.pipeline import (
     build_topic_lexicon,
     extract_keywords,
     generate_clue,
+    read_corpus_jsonl,
     sentence_spans,
     write_lexicon_jsonl,
 )
+from topicross.util import DataError
 
 
 def occ_of(doc, surface, extractor=None):
@@ -173,6 +175,28 @@ class TestPreTagged:
         doc = Document("d", "alpha beta", pre_tagged_keywords=(("beta", 0, 4),))
         with pytest.raises(OffsetOutOfRangeError):
             extract_keywords(doc, PreTaggedExtractor())
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(
+                '{"doc_id": 1, "text": "Atlas.", "keywords": '
+                '[{"surface": "Atlas", "start": true, "end": 5}]}',
+                id="start",
+            ),
+            pytest.param(
+                '{"doc_id": 1, "text": "Atlas.", "keywords": '
+                '[{"surface": "Atlas", "start": 0, "end": false}]}',
+                id="end",
+            ),
+            pytest.param('{"doc_id": true, "text": "Atlas."}', id="doc_id"),
+        ],
+    )
+    def test_json_booleans_are_not_integers(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="got bool"):
+            read_corpus_jsonl(path)
 
 
 class TestSentences:

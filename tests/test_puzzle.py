@@ -8,7 +8,7 @@ import pytest
 
 from conftest import UNLIMITED, random_small_instance
 from topicross.grid import extract_slots, parse_pattern
-from topicross.lexicon import Source, build_index, ingest_records
+from topicross.lexicon import Source, build_index, ingest_lexicon, ingest_records
 from topicross.puzzle import (
     MissingEntryError,
     assemble,
@@ -169,6 +169,54 @@ class TestVerify:
             puzzle = assemble(pattern, slotset, result, lexicon, clue_seed=verified)
             assert verify_puzzle(puzzle, lexicon, 0).ok
             verified += 1
+
+    def test_filtered_lexicon_gives_the_same_report(self, tmp_path):
+        # verify ingests only the puzzle's answers; every report, tampered
+        # puzzles included, must match the one on the full lexicon.
+        accents = str.maketrans({"A": "á", "C": "ç", "E": "é"})
+        rng = random.Random(12)
+        checked = 0
+        while checked < 25:
+            pattern, slotset, lexicon, index = random_small_instance(rng)
+            result = solve(slotset, index, replace(UNLIMITED, seed=checked))
+            if not result.success or len(slotset.slots) < 2:
+                continue
+            puzzle = assemble(pattern, slotset, result, lexicon, clue_seed=checked)
+            split, accented = rng.sample(sorted({e.answer for e in puzzle.entries}), 2)
+            # ``split`` is a filler in one file and a topic word in the other;
+            # ``accented`` is reachable only through normalization.
+            first, second = [], []
+            for e in lexicon.entries:
+                if e.answer == split:
+                    first.append({"surface": split.lower(), "source": "filler", "clues": ["f"]})
+                    second.append({"surface": split, "source": "topic", "clues": ["t", "f"]})
+                    continue
+                surface = e.answer.translate(accents) if e.answer == accented else e.answer
+                rng.choice((first, second)).append(
+                    {"surface": surface, "source": e.source.value, "clues": ["c"]}
+                )
+            paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
+            for path, docs in zip(paths, (first, second)):
+                path.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
+            full = ingest_lexicon(paths)
+
+            i = rng.randrange(len(puzzle.entries))
+            entries = list(puzzle.entries)
+            missing = replace(entries[i], answer="Z" * len(entries[i].answer))
+            flipped = replace(
+                entries[i],
+                source=Source.FILLER if entries[i].source is Source.TOPIC else Source.TOPIC,
+            )
+            for changed in (entries[i], missing, flipped):
+                tampered = replace(puzzle, entries=tuple(entries[:i] + [changed] + entries[i + 1:]))
+                answers = {e.answer for e in tampered.entries}
+                filtered = ingest_lexicon(paths, answers=answers)
+                assert {e.answer for e in filtered.entries} <= answers
+                for target_rate in (0, 50, 100):
+                    assert verify_puzzle(tampered, filtered, target_rate) == verify_puzzle(
+                        tampered, full, target_rate
+                    )
+            checked += 1
 
 
 class TestSerialization:

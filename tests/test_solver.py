@@ -165,6 +165,9 @@ class TestSolveSmall:
             SolverConfig(restart_interval=20, time_limit=10)
         with pytest.raises(ValueError):
             SolverConfig(node_budget=0)
+        for nan in ({"time_limit": math.nan}, {"restart_interval": math.nan}):
+            with pytest.raises(ValueError, match="must be positive"):
+                SolverConfig(**nan)
 
 
 class TestRestarts:

@@ -1,8 +1,8 @@
 """Answer-word storage: normalization to a grid alphabet, topic/filler tagging,
 and a (length, position, letter) index for constrained candidate retrieval.
 
-Topic entries come from the target corpus; filler entries pad the vocabulary
-from an external word list. A word that shows up in both keeps the topic tag.
+Topic words come from the target corpus, filler words from a word list; a word
+in both keeps the topic tag. Entry objects are built only on lookup.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import re
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Container, Iterable, Sequence
@@ -55,7 +55,8 @@ class NormalizationTable:
     position, and an empty key never matches. Characters already in the
     output alphabet pass through, so the table is idempotent on its own
     output. Anything else is handled per ``drop_policy``: 'reject' raises,
-    'skip' silently drops the character.
+    'skip' silently drops the character. A mapped value that contains
+    whitespace raises ``ValueError``.
 
     When every key is one character, :meth:`apply` substitutes with one
     ``str.translate`` call; otherwise with one regex alternation of the keys,
@@ -69,8 +70,11 @@ class NormalizationTable:
     _pattern: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for key, value in self.mappings.items():
+            if any(ch.isspace() for ch in value):
+                raise ValueError(f"mapping of {key!r} contains whitespace")
         if self.drop_policy not in (REJECT, SKIP):
-            raise ValueError(f"drop_policy must be {REJECT!r} or {SKIP!r}")
+            raise ValueError(f"'drop_policy' must be {REJECT!r} or {SKIP!r}")
         alphabet = frozenset(ch for value in self.mappings.values() for ch in value)
         object.__setattr__(self, "_alphabet", alphabet)
         codes = pattern = None
@@ -107,13 +111,11 @@ class NormalizationTable:
         mappings = json_field(doc, "mappings", dict, where)
         if not all(isinstance(value, str) for value in mappings.values()):
             raise DataError(f"{where}: every 'mappings' value must be a string")
-        for key, value in mappings.items():
-            if any(ch.isspace() for ch in value):
-                raise DataError(f"{where}: mapping of {key!r} contains whitespace")
         drop_policy = json_field(doc, "drop_policy", str, where, SKIP)
-        if drop_policy not in (REJECT, SKIP):
-            raise DataError(f"{where}: 'drop_policy' must be {REJECT!r} or {SKIP!r}")
-        return cls(mappings=dict(mappings), drop_policy=drop_policy)
+        try:
+            return cls(mappings=dict(mappings), drop_policy=drop_policy)
+        except ValueError as exc:
+            raise DataError(f"{where}: {exc}") from None
 
 
 def _build_default_latin() -> NormalizationTable:
@@ -193,28 +195,29 @@ class IngestStats:
     collisions: int = 0
 
 
+# One lexicon record: (surface, source, clues).
+Record = tuple[str, Source, tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class Lexicon:
-    """Deduplicated entries, sorted by answer. At most one entry per answer."""
+    """At most one record per answer: ``records[answer]`` is its merged
+    ``(surface, source, clues)``. :meth:`lookup` builds the entry on demand."""
 
-    entries: tuple[LexiconEntry, ...]
+    records: dict[str, Record]
     stats: IngestStats
-    _by_answer: dict[str, LexiconEntry] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_answer", {e.answer: e for e in self.entries})
-        if len(self._by_answer) != len(self.entries):
-            raise ValueError("duplicate answers in lexicon")
 
     def lookup(self, answer: str) -> LexiconEntry | None:
-        return self._by_answer.get(answer)
+        record = self.records.get(answer)
+        return None if record is None else LexiconEntry(answer, *record)
+
+    @property
+    def entries(self) -> tuple[LexiconEntry, ...]:
+        """Every entry, sorted by answer; built anew on each access."""
+        return tuple(self.lookup(answer) for answer in sorted(self.records))
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-
-# One pre-normalization lexicon record: (surface, source, clues).
-Record = tuple[str, Source, tuple[str, ...]]
+        return len(self.records)
 
 
 def read_word_list(path: str | Path) -> list[str]:
@@ -261,7 +264,7 @@ def ingest_records(
     table: NormalizationTable = DEFAULT_TABLE,
     answers: Container[str] | None = None,
 ) -> Lexicon:
-    """Normalize, deduplicate, and sort records into a Lexicon.
+    """Normalize and deduplicate records into a Lexicon.
 
     Collisions on the same answer keep the topic tag when either side has it,
     and union the clue lists in first-seen order. Records that fail
@@ -269,16 +272,18 @@ def ingest_records(
 
     With ``answers`` set, every record is still normalized, but one whose
     normalized answer is not in ``answers`` is dropped before the merge: each
-    kept answer gets the same entry as in an unfiltered load. The
+    kept answer gets the same record as in an unfiltered load. The
     ``skipped_short`` and ``skipped_unmappable`` stats then still count every
     record, while ``topic``, ``filler`` and ``collisions`` count only the kept
     answers.
     """
-    merged: dict[str, LexiconEntry] = {}
+    merged: dict[str, Record] = {}
     skipped_short = 0
     skipped_unmappable = 0
     collisions = 0
-    for surface, source, record_clues in records:
+    topic = 0
+    for record in records:
+        surface, source, clues = record
         try:
             answer = normalize(surface, table)
         except TooShortError:
@@ -291,28 +296,18 @@ def ingest_records(
             continue
         existing = merged.get(answer)
         if existing is None:
-            merged[answer] = LexiconEntry(
-                answer=answer, surface=surface, source=source, clues=record_clues
-            )
+            merged[answer] = record
+            topic += source is Source.TOPIC
             continue
         collisions += 1
-        clues = existing.clues + tuple(c for c in record_clues if c not in existing.clues)
-        if existing.source is Source.FILLER and source is Source.TOPIC:
-            merged[answer] = LexiconEntry(
-                answer=answer, surface=surface, source=Source.TOPIC, clues=clues
-            )
-        elif clues != existing.clues:
-            merged[answer] = replace(existing, clues=clues)
-    entries = tuple(merged[a] for a in sorted(merged))
-    topic = sum(1 for e in entries if e.source is Source.TOPIC)
-    stats = IngestStats(
-        topic=topic,
-        filler=len(entries) - topic,
-        skipped_short=skipped_short,
-        skipped_unmappable=skipped_unmappable,
-        collisions=collisions,
-    )
-    return Lexicon(entries=entries, stats=stats)
+        kept_surface, kept_source, kept_clues = existing
+        if kept_source is Source.FILLER and source is Source.TOPIC:
+            kept_surface, kept_source = surface, source
+            topic += 1
+        clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
+        merged[answer] = (kept_surface, kept_source, clues)
+    stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
+    return Lexicon(records=merged, stats=stats)
 
 
 def ingest_lexicon(
@@ -325,36 +320,39 @@ def ingest_lexicon(
     Every file is read and validated in full; ``answers`` is passed to
     :func:`ingest_records`, which keeps only those answers when it is set.
     """
-    records: list[Record] = []
-    for path in paths:
-        records.extend(read_lexicon_file(path))
+    records = [record for path in paths for record in read_lexicon_file(path)]
     return ingest_records(records, table, answers)
 
 
 class WordIndex:
     """Candidate retrieval by (length, position, letter) constraints.
 
-    ``by_length[L]`` lists entries of length L in canonical candidate order:
-    topic entries first, then lexicographic by answer. An entry's position in
-    that tuple is its *rank*, and a set of length-L entries is an int mask
-    whose bit i stands for ``by_length[L][i]``. ``masks[L, position, letter]``
-    is the mask of the entries with that letter there; a query ANDs the masks
-    of its fixed letters and clears the bits of its ``excluded`` mask.
+    ``by_length[L]`` lists the answers of length L in canonical candidate
+    order: the ``topic_count[L]`` topic answers, then the fillers, each group
+    sorted. An answer's position in that tuple is its *rank* (topic iff below
+    ``topic_count[L]``), and a set of length-L answers is an int mask whose bit
+    i stands for ``by_length[L][i]``. ``masks[L, position, letter]`` is the
+    mask of the answers with that letter there; a query ANDs the masks of its
+    fixed letters and clears the bits of its ``excluded`` mask.
     """
 
     def __init__(self, lexicon: Lexicon):
-        grouped: dict[int, list[LexiconEntry]] = {}
-        for entry in lexicon.entries:
-            grouped.setdefault(len(entry.answer), []).append(entry)
-        self.by_length: dict[int, tuple[LexiconEntry, ...]] = {}
+        topic: dict[int, list[str]] = {}
+        filler: dict[int, list[str]] = {}
+        for answer, (_, source, _) in lexicon.records.items():
+            group = topic if source is Source.TOPIC else filler
+            group.setdefault(len(answer), []).append(answer)
+        self.by_length: dict[int, tuple[str, ...]] = {}
+        self.topic_count: dict[int, int] = {}
         self.masks: dict[tuple[int, int, str], int] = {}
-        for length, entries in grouped.items():
-            entries.sort(key=lambda e: (e.source is not Source.TOPIC, e.answer))
-            self.by_length[length] = tuple(entries)
+        for length in sorted(topic.keys() | filler.keys()):
+            topic_answers = sorted(topic.get(length, ()))
+            answers = self.by_length[length] = (*topic_answers, *sorted(filler.get(length, ())))
+            self.topic_count[length] = len(topic_answers)
             # Column ``position`` of the answers, in rank order, is a slice of
             # their concatenation. Translating it to one '1' per rank holding
             # the letter and reversing it gives the mask in binary.
-            joined = "".join(entry.answer for entry in entries)
+            joined = "".join(answers)
             for position in range(length):
                 column = joined[position::length]
                 letters = sorted(set(column))
@@ -367,7 +365,7 @@ class WordIndex:
                     )
 
     def _match(self, length: int, fixed: Iterable[tuple[int, str]], excluded: int) -> int:
-        """Mask of the entries matching every fixed letter, minus ``excluded``."""
+        """Mask of the answers matching every fixed letter, minus ``excluded``."""
         mask = -1  # all ones; still negative below when nothing is fixed
         for position, letter in fixed:
             if not 0 <= position < length:
@@ -380,7 +378,7 @@ class WordIndex:
     def candidates(
         self, length: int, fixed: Iterable[tuple[int, str]] = (), excluded: int = 0
     ) -> list[int]:
-        """Ranks of the matching entries not in ``excluded``, ascending (so in
+        """Ranks of the matching answers not in ``excluded``, ascending (so in
         canonical order)."""
         bits = bin(self._match(length, fixed, excluded))[:1:-1]
         ranks = []

@@ -246,6 +246,7 @@ def puzzle_to_json(puzzle: Puzzle, include_solution: bool = True) -> str:
         ensure_ascii=False,
         sort_keys=True,
         indent=2,
+        allow_nan=False,
     )
 
 
@@ -260,7 +261,8 @@ def _enum_field(cls, doc: object, key: str, where: str):
 def deserialize_puzzle(doc: object) -> Puzzle:
     """Inverse of :func:`serialize_puzzle` for documents that include the solution.
 
-    Raises :class:`DataError` when a field is missing or has the wrong type.
+    Raises :class:`DataError` when a field is missing or has the wrong type
+    or value (a NaN ``achieved_topic_ratio``, say).
     """
     pattern = parse_pattern(
         json_field(doc, "pattern", str, "puzzle"),

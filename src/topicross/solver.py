@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
 
 from .grid import Slot, SlotSet
-from .lexicon import LexiconEntry, Source, WordIndex
+from .lexicon import WordIndex
 from .util import derive_seed
 
 
@@ -80,7 +81,7 @@ class SolverConfig:
 class FillState:
     """Mutable search state for one episode."""
 
-    assignment: dict[int, LexiconEntry] = field(default_factory=dict)
+    assignment: dict[int, str] = field(default_factory=dict)  # slot_id -> answer
     cell_letters: dict[tuple[int, int], str] = field(default_factory=dict)
     topic_count: int = 0
     used: dict[int, int] = field(default_factory=dict)  # length -> mask of placed ranks
@@ -159,10 +160,7 @@ def _ordered_candidates(
     )
     # Reshuffle within the topic and filler groups; topic-first ordering
     # stays intact, only the lexicographic tie-break is randomized.
-    pool = index.by_length.get(slot.length, ())
-    split = 0
-    while split < len(cands) and pool[cands[split]].source is Source.TOPIC:
-        split += 1
+    split = bisect_left(cands, index.topic_count.get(slot.length, 0))
     topic, filler = cands[:split], cands[split:]
     rng.shuffle(topic)
     rng.shuffle(filler)
@@ -194,6 +192,7 @@ def _run_episode(
             return state.topic_count >= need
         slot = slots[choose_next_slot(state, slotset, index)]
         pool = index.by_length.get(slot.length, ())
+        topic_end = index.topic_count.get(slot.length, 0)
         ranks, n_topic = _ordered_candidates(index, slot, state, rng)
         # A filler here would leave the quota unreachable: search only the
         # topic candidates, then count each filler as an expanded node.
@@ -205,16 +204,15 @@ def _run_episode(
                 raise _EpisodeCut
             state.nodes_expanded += 1
 
-            entry = pool[rank]
-            state.assignment[slot.slot_id] = entry
-            if entry.source is Source.TOPIC:
+            state.assignment[slot.slot_id] = answer = pool[rank]
+            if rank < topic_end:
                 state.topic_count += 1
             state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
             new_cells = []
             letters = state.cell_letters
             for i, cell in enumerate(slot.cells):
                 if cell not in letters:
-                    letters[cell] = entry.answer[i]
+                    letters[cell] = answer[i]
                     new_cells.append(cell)
 
             if dfs():
@@ -223,7 +221,7 @@ def _run_episode(
             for cell in new_cells:
                 del letters[cell]
             state.used[slot.length] ^= 1 << rank
-            if entry.source is Source.TOPIC:
+            if rank < topic_end:
                 state.topic_count -= 1
             del state.assignment[slot.slot_id]
         if doomed:
@@ -293,7 +291,7 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
         elapsed_ms = int(round((time.monotonic() - started) * 1000))
 
     if outcome is Status.SUCCESS:
-        assignment = {sid: e.answer for sid, e in state.assignment.items()}
+        assignment = dict(state.assignment)
         ratio = state.topic_count / total if total else 1.0
     else:
         assignment = {}
@@ -360,11 +358,12 @@ def brute_force_solve(
     target_rate: int,
     attempt_cap: int = 10_000_000,
 ) -> BruteForceResult:
-    """Exhaustive oracle: enumerate per-slot candidates in canonical order.
+    """Exhaustive oracle: enumerate per-slot answers in canonical order.
 
     No heuristics and no quota pruning; only letter consistency and the
     duplicate rule cut branches, and the quota is checked on complete
-    assignments. Intended for small instances; raises
+    assignments (rank r of length L is topic iff r < ``topic_count[L]``).
+    Intended for small instances; raises
     :class:`InstanceTooLargeError` past ``attempt_cap`` attempted placements.
     """
     slots = slotset.slots
@@ -378,21 +377,20 @@ def brute_force_solve(
 
     letters: dict[tuple[int, int], str] = {}
     used: set[str] = set()
-    chosen: list[LexiconEntry] = []
+    chosen: list[str] = []
     attempts = 0
 
-    def enumerate_from(depth: int, topic_count: int) -> bool:
+    def enumerate_from(depth: int, topics: int) -> bool:
         nonlocal attempts
         if depth == total:
-            return topic_count >= need
+            return topics >= need
         slot = slots[depth]
-        for entry in pools[depth]:
+        for rank, answer in enumerate(pools[depth]):
             attempts += 1
             if attempts > attempt_cap:
                 raise InstanceTooLargeError(f"exceeded {attempt_cap} placement attempts")
-            if entry.answer in used:
+            if answer in used:
                 continue
-            answer = entry.answer
             new_cells = []
             ok = True
             for i, cell in enumerate(slot.cells):
@@ -404,11 +402,9 @@ def brute_force_solve(
                     ok = False
                     break
             if ok:
-                chosen.append(entry)
+                chosen.append(answer)
                 used.add(answer)
-                if enumerate_from(
-                    depth + 1, topic_count + (entry.source is Source.TOPIC)
-                ):
+                if enumerate_from(depth + 1, topics + (rank < index.topic_count[slot.length])):
                     return True
                 used.discard(answer)
                 chosen.pop()
@@ -419,6 +415,6 @@ def brute_force_solve(
     if enumerate_from(0, 0):
         return BruteForceResult(
             satisfiable=True,
-            assignment={slot.slot_id: e.answer for slot, e in zip(slots, chosen)},
+            assignment={slot.slot_id: answer for slot, answer in zip(slots, chosen)},
         )
     return BruteForceResult(satisfiable=False)

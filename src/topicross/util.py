@@ -4,6 +4,7 @@ pattern, stable seed derivation and atomic file writes."""
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import re
 import tempfile
@@ -30,7 +31,7 @@ def json_field(
     :class:`DataError`, prefixed with ``where``, when ``doc`` is not a JSON
     object, a required key is absent, or the value has the wrong type. A JSON
     ``true``/``false`` is of type ``bool`` only, never ``int``, although
-    ``bool`` subclasses ``int`` in Python.
+    ``bool`` subclasses ``int`` in Python; a NaN or infinite float is rejected.
     """
     if not isinstance(doc, dict):
         raise DataError(f"{where}: expected a JSON object, got {type(doc).__name__}")
@@ -43,6 +44,8 @@ def json_field(
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         expected = " or ".join(k.__name__ for k in kinds)
         raise DataError(f"{where}: {key!r} must be {expected}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DataError(f"{where}: {key!r} must be finite, got {value}")
     return value
 
 

@@ -44,6 +44,15 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# A well-formed one-slot puzzle but for its ratio: json.loads accepts NaN, JSON does not.
+NAN_RATIO_PUZZLE = (
+    '{"pattern": "..", "entries": [{"slot_id": 0, "orientation": "across", '
+    '"row": 0, "col": 0, "answer": "AB", "source": "filler", "clue": "c"}], '
+    '"metadata": {"target_rate": 0, "achieved_topic_ratio": NaN, "seed": 0, '
+    '"elapsed_ms": 0, "restarts": 0}}'
+)
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["generate", "--bogus"]) == 2
@@ -205,11 +214,16 @@ class TestExitCodes:
                 '"elapsed_ms": 0, "restarts": 0}}',
                 id="puzzle-slot-id-bool",
             ),
+            pytest.param("puzzle", NAN_RATIO_PUZZLE, id="puzzle-ratio-nan"),
+            pytest.param(
+                "puzzle", NAN_RATIO_PUZZLE.replace("NaN", "-Infinity"), id="puzzle-ratio-inf"
+            ),
             pytest.param("table", '{"mappings": {"a": 5}}', id="table-mapping-int"),
             pytest.param("table", "[1, 2]", id="table-not-object"),
             pytest.param("table", '{"mappings": {"a": " "}}', id="table-mapping-whitespace"),
             pytest.param("table", "{bad", id="table-bad-json"),
             pytest.param("render", '{"pattern": "..", "entries": [5]}', id="render-entry-int"),
+            pytest.param("render", NAN_RATIO_PUZZLE, id="render-ratio-nan"),
         ],
     )
     def test_malformed_input(self, workdir, capsys, kind, content):

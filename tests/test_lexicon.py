@@ -4,12 +4,13 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from topicross.lexicon import (
     DEFAULT_TABLE,
     REJECT,
     SKIP,
+    IngestStats,
     Lexicon,
     LexiconEntry,
     LexiconParseError,
@@ -23,6 +24,7 @@ from topicross.lexicon import (
     normalize,
     read_lexicon_file,
 )
+from topicross.util import DataError
 
 
 def lex(records):
@@ -86,6 +88,14 @@ class TestNormalize:
     def test_table_json_round_trip(self):
         doc = DEFAULT_TABLE.to_json()
         assert NormalizationTable.from_json(doc) == DEFAULT_TABLE
+
+    @pytest.mark.parametrize("value", [" ", "A B", "\t", "A\u3000"])
+    def test_whitespace_mapping_rejected(self, value):
+        # an answer never holds whitespace, because no table maps to any
+        with pytest.raises(ValueError, match="mapping of 'a' contains whitespace"):
+            NormalizationTable({"a": value})
+        with pytest.raises(DataError, match="^normalization table: mapping of 'a'"):
+            NormalizationTable.from_json({"mappings": {"a": value}})
 
 
 def reference_apply(table, surface):
@@ -240,6 +250,78 @@ class TestIngest:
         assert answers == sorted(set(answers))
 
 
+def reference_ingest(records, table, answers):
+    """The merge as one ``LexiconEntry`` per answer, rebuilt on each collision."""
+    merged = {}
+    short = unmappable = collisions = 0
+    for surface, source, clues in records:
+        try:
+            answer = normalize(surface, table)
+        except TooShortError:
+            short += 1
+            continue
+        except UnmappableCharacterError:
+            unmappable += 1
+            continue
+        if answers is not None and answer not in answers:
+            continue
+        old = merged.get(answer)
+        if old is None:
+            merged[answer] = LexiconEntry(answer, surface, source, clues)
+            continue
+        collisions += 1
+        union = old.clues + tuple(c for c in clues if c not in old.clues)
+        if old.source is Source.FILLER and source is Source.TOPIC:
+            merged[answer] = LexiconEntry(answer, surface, Source.TOPIC, union)
+        else:
+            merged[answer] = replace(old, clues=union)
+    topic = sum(e.source is Source.TOPIC for e in merged.values())
+    return merged, IngestStats(topic, len(merged) - topic, short, unmappable, collisions)
+
+
+# "é", "E" and "e" all normalize to "E"; "-" is dropped or, under 'reject',
+# unmappable; one-letter results are too short.
+ingest_record_lists = st.lists(
+    st.tuples(
+        st.text("aeéE-", min_size=1, max_size=3),
+        st.sampled_from(Source),
+        st.lists(st.sampled_from(["c1", "c2", "c3"]), max_size=3).map(tuple),
+    ),
+    max_size=30,
+)
+
+
+class TestIngestMatchesReference:
+    @given(
+        records=ingest_record_lists,
+        policy=st.sampled_from([SKIP, REJECT]),
+        answers=st.none() | st.sets(st.text("AE", min_size=2, max_size=3), max_size=6),
+    )
+    @example(
+        records=[
+            ("ae", Source.FILLER, ("c1",)),
+            ("AÉ", Source.TOPIC, ("c2", "c1")),
+            ("eee", Source.TOPIC, ("c1",)),
+            ("ééé", Source.FILLER, ("c3",)),
+            ("EEE", Source.FILLER, ("c1",)),
+        ],
+        policy=SKIP,
+        answers=None,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_stats_and_index(self, records, policy, answers):
+        table = replace(DEFAULT_TABLE, drop_policy=policy)
+        expected, stats = reference_ingest(records, table, answers)
+        lexicon = ingest_records(records, table, answers)
+        assert lexicon.stats == stats
+        assert len(lexicon) == len(expected)
+        for answer, entry in expected.items():
+            assert lexicon.lookup(answer) == entry
+        assert lexicon.entries == tuple(expected[a] for a in sorted(expected))
+        # the entries equal the reference's, so this checks the index against it
+        assert_index_matches_definition(lexicon, build_index(lexicon))
+
+
 class TestLexiconFiles:
     def test_word_list(self, tmp_path):
         path = tmp_path / "words.txt"
@@ -289,29 +371,33 @@ class TestLexiconFiles:
         assert lexicon.lookup("LIBERAL").source is Source.TOPIC
 
 
+def canonical(entries):
+    """Answers of ``entries`` in canonical candidate order: topic first, then by answer."""
+    ordered = sorted(entries, key=lambda e: (e.source is not Source.TOPIC, e.answer))
+    return [e.answer for e in ordered]
+
+
 def naive_candidates(lexicon, length, fixed, excluded):
     """Brute scan over the whole lexicon; the retrieval oracle."""
-    out = [
+    return canonical(
         e
         for e in lexicon.entries
         if len(e.answer) == length
         and all(e.answer[i] == ch for i, ch in fixed)
         and e.answer not in excluded
-    ]
-    out.sort(key=lambda e: (e.source is not Source.TOPIC, e.answer))
-    return out
+    )
 
 
 def words_at(index, length, ranks):
-    return [index.by_length[length][r].answer for r in ranks]
+    return [index.by_length[length][r] for r in ranks]
 
 
 def excluded_mask(index, answers):
     """Per-length ``excluded`` masks of a set of answers."""
     masks = {}
     for length, pool in index.by_length.items():
-        for rank, entry in enumerate(pool):
-            if entry.answer in answers:
+        for rank, answer in enumerate(pool):
+            if answer in answers:
                 masks[length] = masks.get(length, 0) | 1 << rank
     return masks
 
@@ -350,9 +436,9 @@ class TestWordIndex:
         words = sorted({f"{a}{b}" for a in "ABCDE" for b in "ABCDE"})[:21]
         index = build_index(lex([(w, Source.FILLER, []) for w in words]))
         top = len(words) - 1
-        assert index.by_length[2][0].answer == "AA"
+        assert index.by_length[2][0] == "AA"
         assert index.candidates(2, [(0, "A"), (1, "A")]) == [0]
-        last = index.by_length[2][top].answer
+        last = index.by_length[2][top]
         assert index.candidates(2, [(0, last[0]), (1, last[1])]) == [top]
         assert index.candidates(2) == list(range(top + 1))
         assert index.count_matches(2) == top + 1
@@ -386,10 +472,11 @@ class TestWordIndex:
             for w in sorted(words)
         ]
         ingested = ingest_records(records, table)
-        # Lexicon does not enforce answer order; hand the index a shuffled one
-        entries = list(ingested.entries)
-        rng.shuffle(entries)
-        lexicon = Lexicon(entries=tuple(entries), stats=ingested.stats)
+        # Lexicon does not order its records; hand the index a shuffled dict
+        items = list(ingested.records.items())
+        rng.shuffle(items)
+        lexicon = Lexicon(records=dict(items), stats=ingested.stats)
+        assert list(lexicon.records) != sorted(lexicon.records)
         index = build_index(lexicon)
         assert {letter for (_, _, letter) in index.masks} == {"Ñ", "Ω", "Ж", "A"}
         assert max(len(pool) for pool in index.by_length.values()) > 64
@@ -408,8 +495,7 @@ class TestWordIndex:
             excluded = set(rng.sample(answers, rng.randint(0, 3)))
             mask = excluded_mask(index, excluded).get(length, 0)
             expected = naive_candidates(lexicon, length, fixed, excluded)
-            got = [index.by_length[length][r] for r in index.candidates(length, fixed, mask)]
-            assert got == expected
+            assert words_at(index, length, index.candidates(length, fixed, mask)) == expected
             assert index.count_matches(length, sorted(fixed), mask) == len(expected)
 
     def test_bad_position_rejected(self):
@@ -419,20 +505,25 @@ class TestWordIndex:
 
 
 def assert_index_matches_definition(lexicon, index):
-    """``by_length`` and every mask, checked against their definitions."""
-    lengths = {len(e.answer) for e in lexicon.entries}
+    """``by_length``, ``topic_count`` and every mask, checked against their definitions."""
+    entries = lexicon.entries
+    lengths = {len(e.answer) for e in entries}
     assert set(index.by_length) == lengths
+    assert set(index.topic_count) == lengths
     for length in lengths:
-        expected = sorted(
-            (e for e in lexicon.entries if len(e.answer) == length),
-            key=lambda e: (e.source is not Source.TOPIC, e.answer),
+        of_length = [e for e in entries if len(e.answer) == length]
+        assert list(index.by_length[length]) == canonical(of_length)
+        topic = sum(e.source is Source.TOPIC for e in of_length)
+        assert index.topic_count[length] == topic
+        assert all(
+            lexicon.lookup(answer).source is (Source.TOPIC if rank < topic else Source.FILLER)
+            for rank, answer in enumerate(index.by_length[length])
         )
-        assert list(index.by_length[length]) == expected
     for (length, pos, letter), mask in index.masks.items():
         pool = index.by_length[length]
         assert mask > 0 and mask.bit_length() <= len(pool)
-        entries = {pool[i] for i in range(len(pool)) if mask >> i & 1}
-        assert entries == {e for e in pool if e.answer[pos] == letter}
+        answers = {pool[i] for i in range(len(pool)) if mask >> i & 1}
+        assert answers == {answer for answer in pool if answer[pos] == letter}
     for length, pool in index.by_length.items():
         for pos in range(length):
             union = 0

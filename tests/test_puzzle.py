@@ -1,6 +1,7 @@
 """Puzzle assembly, independent verification, and serialization."""
 
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from topicross.puzzle import (
     verify_puzzle,
 )
 from topicross.solver import FillResult, SolverConfig, Status, solve
+from topicross.util import DataError
 
 
 def build(words):
@@ -251,6 +253,17 @@ class TestSerialization:
         assert all("answer" not in e and "surface" not in e for e in doc["entries"])
         with pytest.raises(ValueError):
             deserialize_puzzle(doc)
+
+    @pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ratio_rejected(self, ratio):
+        *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
+        bad = replace(puzzle, metadata=replace(puzzle.metadata, achieved_topic_ratio=ratio))
+        # JSON has no NaN or Infinity: neither written nor read back
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            puzzle_to_json(bad)
+        doc = serialize_puzzle(bad)
+        with pytest.raises(DataError, match="'achieved_topic_ratio' must be finite"):
+            deserialize_puzzle(json.loads(json.dumps(doc)))
 
     def test_render_deterministic(self):
         *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)

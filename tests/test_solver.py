@@ -382,23 +382,24 @@ def _exhaustive_best_ratio(slotset, index):
             best = share if best is None else max(best, share)
             return
         slot = slots[depth]
-        for entry in index.by_length.get(slot.length, ()):
-            if entry.answer in used:
+        topic_ranks = index.topic_count.get(slot.length, 0)
+        for rank, answer in enumerate(index.by_length.get(slot.length, ())):
+            if answer in used:
                 continue
             placed = []
             ok = True
             for i, cell in enumerate(slot.cells):
                 have = letters.get(cell)
                 if have is None:
-                    letters[cell] = entry.answer[i]
+                    letters[cell] = answer[i]
                     placed.append(cell)
-                elif have != entry.answer[i]:
+                elif have != answer[i]:
                     ok = False
                     break
             if ok:
-                used.add(entry.answer)
-                rec(depth + 1, letters, used, topic + (entry.source is Source.TOPIC))
-                used.discard(entry.answer)
+                used.add(answer)
+                rec(depth + 1, letters, used, topic + (rank < topic_ranks))
+                used.discard(answer)
             for cell in placed:
                 del letters[cell]
 

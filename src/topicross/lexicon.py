@@ -1,5 +1,6 @@
 """Answer-word storage: normalization to a grid alphabet, topic/filler tagging,
-and a (length, position, letter) index for constrained candidate retrieval.
+and a (length, position, letter) index of answer-set masks for candidate
+retrieval.
 
 Topic words come from the target corpus, filler words from a word list; a word
 in both keeps the topic tag. Entry objects are built only on lookup.
@@ -325,15 +326,16 @@ def ingest_lexicon(
 
 
 class WordIndex:
-    """Candidate retrieval by (length, position, letter) constraints.
+    """Answer sets of one length as int masks, keyed by (length, position, letter).
 
     ``by_length[L]`` lists the answers of length L in canonical candidate
     order: the ``topic_count[L]`` topic answers, then the fillers, each group
     sorted. An answer's position in that tuple is its *rank* (topic iff below
     ``topic_count[L]``), and a set of length-L answers is an int mask whose bit
     i stands for ``by_length[L][i]``. ``masks[L, position, letter]`` is the
-    mask of the answers with that letter there; a query ANDs the masks of its
-    fixed letters and clears the bits of its ``excluded`` mask.
+    mask of the answers with that letter there. :meth:`domain` ANDs the masks
+    of some fixed letters; :meth:`candidates` and :meth:`count_matches` read a
+    domain mask minus an ``excluded`` mask.
     """
 
     def __init__(self, lexicon: Lexicon):
@@ -364,23 +366,19 @@ class WordIndex:
                         column.translate(one_hot)[::-1], 2
                     )
 
-    def _match(self, length: int, fixed: Iterable[tuple[int, str]], excluded: int) -> int:
-        """Mask of the answers matching every fixed letter, minus ``excluded``."""
-        mask = -1  # all ones; still negative below when nothing is fixed
+    def domain(self, length: int, fixed: Iterable[tuple[int, str]] = ()) -> int:
+        """Mask of the length-``length`` answers with every fixed (position, letter)."""
+        mask = (1 << len(self.by_length.get(length, ()))) - 1
         for position, letter in fixed:
             if not 0 <= position < length:
                 raise ValueError(f"fixed position {position} outside word of length {length}")
             mask &= self.masks.get((length, position, letter), 0)
-        if mask < 0:
-            mask = (1 << len(self.by_length.get(length, ()))) - 1
-        return mask & ~excluded
+        return mask
 
-    def candidates(
-        self, length: int, fixed: Iterable[tuple[int, str]] = (), excluded: int = 0
-    ) -> list[int]:
-        """Ranks of the matching answers not in ``excluded``, ascending (so in
+    def candidates(self, domain: int, excluded: int = 0) -> list[int]:
+        """Ranks in ``domain`` and not in ``excluded``, ascending (so in
         canonical order)."""
-        bits = bin(self._match(length, fixed, excluded))[:1:-1]
+        bits = bin(domain & ~excluded)[:1:-1]
         ranks = []
         i = bits.find("1")
         while i >= 0:
@@ -388,11 +386,9 @@ class WordIndex:
             i = bits.find("1", i + 1)
         return ranks
 
-    def count_matches(
-        self, length: int, fixed: Iterable[tuple[int, str]] = (), excluded: int = 0
-    ) -> int:
+    def count_matches(self, domain: int, excluded: int = 0) -> int:
         """Candidate count without materializing the list."""
-        return self._match(length, fixed, excluded).bit_count()
+        return (domain & ~excluded).bit_count()
 
 
 def build_index(lexicon: Lexicon) -> WordIndex:

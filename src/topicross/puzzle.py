@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -115,10 +116,11 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
 
     Checks slot coverage, entry geometry, crossing-letter agreement, lexicon
     membership, each entry's source against the lexicon's, the duplicate-answer
-    rule, and the topic quota. A topic answer counts only when the lexicon
-    tags it topic and the entry agrees; the file's tag alone counts for
-    nothing. Deliberately independent of the solver: letters are re-placed
-    cell by cell here.
+    rule, the topic quota, and the metadata's ``achieved_topic_ratio`` against
+    the share of entries the file tags topic. A topic answer counts toward the
+    quota only when the lexicon tags it topic and the entry agrees; the file's
+    tag alone counts for nothing. Deliberately independent of the solver:
+    letters are re-placed cell by cell here.
     """
     violations: list[PuzzleViolation] = []
     slotset = extract_slots(puzzle.pattern)
@@ -204,6 +206,16 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
             PuzzleViolation(
                 "quota",
                 f"{topic}/{total} topic answers is below the {target_rate}% target",
+            )
+        )
+    tagged = sum(entry.source is Source.TOPIC for entry in puzzle.entries)
+    claimed = puzzle.metadata.achieved_topic_ratio
+    if total and not math.isclose(claimed, tagged / total, abs_tol=1e-9):
+        violations.append(
+            PuzzleViolation(
+                "ratio-mismatch",
+                f"metadata claims a topic ratio of {claimed!r}, "
+                f"but {tagged}/{total} entries are tagged topic",
             )
         )
     return VerificationReport(violations=tuple(violations))

@@ -3,10 +3,17 @@
 Depth-first backtracking over slots: most-constrained slot first, topic
 candidates before filler, seeded tie shuffling per restart episode. A fill
 succeeds only when every slot is assigned and at least ``target_rate`` percent
-of the placed answers are topic words. A filler candidate that would leave the
-quota unreachable is counted as an expanded node without being placed, so node
-counts are unchanged. Episodes restart on a fixed cadence (wall-clock
-interval, or a node budget in deterministic mode) with fresh random states.
+of the placed answers are topic words. Episodes restart on a fixed cadence
+(wall-clock interval, or a node budget in deterministic mode) with fresh
+random states.
+
+The search state keeps each slot's domain, the mask of the answers that fit
+the letters already in its cells, by forward checking (Haralick & Elliott
+1980): a placement narrows the domain of every slot crossing a cell it
+letters, and undo restores the saved masks. When no filler could still meet
+the quota, only the topic candidates are decoded and placed; the fillers are
+counted as expanded nodes without being decoded or placed, so node counts
+are unchanged.
 
 ``brute_force_solve`` is an independent exhaustive oracle for small instances;
 it shares no search code with the main engine.
@@ -21,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from random import Random
 
-from .grid import Slot, SlotSet
+from .grid import SlotSet
 from .lexicon import WordIndex
 from .util import derive_seed
 
@@ -85,6 +92,8 @@ class FillState:
     cell_letters: dict[tuple[int, int], str] = field(default_factory=dict)
     topic_count: int = 0
     used: dict[int, int] = field(default_factory=dict)  # length -> mask of placed ranks
+    # slot_id -> mask of the answers matching the letters in the slot's cells
+    domain: list[int] = field(default_factory=list)
     nodes_expanded: int = 0
 
 
@@ -108,26 +117,21 @@ def quota_needed(total_slots: int, target_rate: int) -> int:
     return -(-total_slots * target_rate // 100)
 
 
-def _slot_constraints(state: FillState, slot: Slot) -> list[tuple[int, str]]:
-    letters = state.cell_letters
-    return [(i, letters[cell]) for i, cell in enumerate(slot.cells) if cell in letters]
-
-
 def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> int:
-    """Most-constrained unassigned slot.
+    """Most-constrained unassigned slot: the fewest unused answers in its domain.
 
     Ties go to the slot crossing more unassigned slots, then to the lowest
     slot_id.
     """
     assigned = state.assignment
+    used = state.used
+    domain = state.domain
     best_count = None
     tied: list[int] = []
     for slot in slotset.slots:
         if slot.slot_id in assigned:
             continue
-        count = index.count_matches(
-            slot.length, _slot_constraints(state, slot), state.used.get(slot.length, 0)
-        )
+        count = index.count_matches(domain[slot.slot_id], used.get(slot.length, 0))
         if best_count is None or count < best_count:
             best_count = count
             tied = [slot.slot_id]
@@ -152,19 +156,34 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
 
 
 def _ordered_candidates(
-    index: WordIndex, slot: Slot, state: FillState, rng: Random
+    index: WordIndex, length: int, domain: int, excluded: int, rng: Random, doomed: bool
 ) -> tuple[list[int], int]:
-    """Candidate ranks, topic words first, and how many of them are topic."""
-    cands = index.candidates(
-        slot.length, _slot_constraints(state, slot), state.used.get(slot.length, 0)
-    )
-    # Reshuffle within the topic and filler groups; topic-first ordering
-    # stays intact, only the lexicographic tie-break is randomized.
-    split = bisect_left(cands, index.topic_count.get(slot.length, 0))
+    """Candidate ranks to search, topic words first, and the number of doomed
+    fillers left out of them.
+
+    Each group is reshuffled; topic-first ordering stays intact, only the
+    lexicographic tie-break is randomized. With ``doomed`` set no filler can
+    meet the quota, so only the topic ranks are decoded and the fillers are
+    counted.
+    """
+    topic_end = index.topic_count.get(length, 0)
+    if doomed:
+        topic_mask = (1 << topic_end) - 1
+        topic = index.candidates(domain & topic_mask, excluded)
+        n_filler = (domain & ~(excluded | topic_mask)).bit_count()
+        rng.shuffle(topic)
+        # random.shuffle draws one number per position, and the draws depend
+        # only on the list's length. Shuffling a placeholder as long as the
+        # fillers takes the same draws as shuffling the fillers, so the random
+        # stream, the node counts and every seeded output stay as they were.
+        rng.shuffle([0] * n_filler)
+        return topic, n_filler
+    cands = index.candidates(domain, excluded)
+    split = bisect_left(cands, topic_end)
     topic, filler = cands[:split], cands[split:]
     rng.shuffle(topic)
     rng.shuffle(filler)
-    return topic + filler, split
+    return topic + filler, 0
 
 
 class _EpisodeCut(Exception):
@@ -184,48 +203,68 @@ def _run_episode(
     need = quota_needed(total, config.target_rate)
     budget = config.node_budget
     slots = slotset.slots
+    masks = index.masks
+    letters = state.cell_letters
+    state.domain = domain = [index.domain(slot.length) for slot in slots]
+    # crossing[sid][i]: (slot id, length, position in it) of the other slot
+    # through cell i of slot sid, or None
+    crossing: list[list[tuple[int, int, int] | None]] = [[None] * s.length for s in slots]
+    for members in slotset.cell_to_slots.values():
+        if len(members) == 2:
+            (a, i), (b, j) = members
+            crossing[a][i] = (b, slots[b].length, j)
+            crossing[b][j] = (a, slots[a].length, i)
 
     # Invariant: topic_count + open slots >= need. It holds at the root, a
     # topic placement keeps it, and no filler that breaks it is placed.
     def dfs() -> bool:
         if len(state.assignment) == total:
             return state.topic_count >= need
-        slot = slots[choose_next_slot(state, slotset, index)]
+        sid = choose_next_slot(state, slotset, index)
+        slot = slots[sid]
         pool = index.by_length.get(slot.length, ())
         topic_end = index.topic_count.get(slot.length, 0)
-        ranks, n_topic = _ordered_candidates(index, slot, state, rng)
         # A filler here would leave the quota unreachable: search only the
         # topic candidates, then count each filler as an expanded node.
         doomed = state.topic_count + total - len(state.assignment) - 1 < need
-        for rank in ranks[:n_topic] if doomed else ranks:
+        ranks, n_doomed = _ordered_candidates(
+            index, slot.length, domain[sid], state.used.get(slot.length, 0), rng, doomed
+        )
+        for rank in ranks:
             if budget is not None and state.nodes_expanded >= budget:
                 raise _EpisodeCut
             if deadline is not None and time.monotonic() > deadline:
                 raise _EpisodeCut
             state.nodes_expanded += 1
 
-            state.assignment[slot.slot_id] = answer = pool[rank]
+            state.assignment[sid] = answer = pool[rank]
             if rank < topic_end:
                 state.topic_count += 1
             state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
             new_cells = []
-            letters = state.cell_letters
-            for i, cell in enumerate(slot.cells):
+            saved = []  # (slot id, its domain before this placement)
+            for cell, letter, cross in zip(slot.cells, answer, crossing[sid]):
                 if cell not in letters:
-                    letters[cell] = answer[i]
+                    letters[cell] = letter
                     new_cells.append(cell)
+                    if cross is not None:
+                        other, length, pos = cross
+                        saved.append((other, domain[other]))
+                        domain[other] &= masks.get((length, pos, letter), 0)
 
             if dfs():
                 return True
 
+            for other, old in reversed(saved):
+                domain[other] = old
             for cell in new_cells:
                 del letters[cell]
             state.used[slot.length] ^= 1 << rank
             if rank < topic_end:
                 state.topic_count -= 1
-            del state.assignment[slot.slot_id]
-        if doomed:
-            state.nodes_expanded += len(ranks) - n_topic
+            del state.assignment[sid]
+        if n_doomed:
+            state.nodes_expanded += n_doomed
             if budget is not None and state.nodes_expanded > budget:
                 # counted one at a time, they would stop at the budget
                 state.nodes_expanded = budget

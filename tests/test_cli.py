@@ -385,6 +385,30 @@ class TestPipelineCommands:
         kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert kinds == ["source-mismatch"] * 4 + ["quota"]
 
+    @pytest.mark.parametrize("ratio", ["1.0", "7.5"])
+    def test_verify_checks_the_claimed_ratio(self, workdir, capsys, ratio):
+        # the 2x2 grid of four filler words: 0 of 4 entries are tagged topic
+        (workdir / "pattern.txt").write_text("..\n..\n", encoding="utf-8")
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        out = workdir / "pz.json"
+        assert run(
+            ["generate", "--pattern", workdir / "pattern.txt", "--lexicon", words,
+             "--target-rate", "0", "--node-budget", "100", "--out", out]
+        ) == 0
+        assert run(["verify", "--puzzle", out, "--lexicon", words]) == 0
+        text = out.read_text(encoding="utf-8")
+        assert '"achieved_topic_ratio": 0.0' in text
+        edited = workdir / "edited.json"
+        edited.write_text(
+            text.replace('"achieved_topic_ratio": 0.0', f'"achieved_topic_ratio": {ratio}'),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert run(["verify", "--puzzle", edited, "--lexicon", words]) == 1
+        kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert kinds == ["ratio-mismatch"]
+
     def test_verify_checks_records_of_answers_not_in_the_puzzle(self, workdir, capsys):
         words = workdir / "four.txt"
         words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")

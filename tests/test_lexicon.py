@@ -406,47 +406,48 @@ class TestWordIndex:
     def test_two_word_example(self):
         lexicon = lex([("AB", Source.FILLER, []), ("BA", Source.FILLER, [])])
         index = build_index(lexicon)
-        assert words_at(index, 2, index.candidates(2, [(0, "A")])) == ["AB"]
-        assert words_at(index, 2, index.candidates(2, [(1, "A")])) == ["BA"]
+        assert words_at(index, 2, index.candidates(index.domain(2, [(0, "A")]))) == ["AB"]
+        assert words_at(index, 2, index.candidates(index.domain(2, [(1, "A")]))) == ["BA"]
 
     def test_empty_lexicon(self):
         index = build_index(lex([]))
         assert index.masks == {}
-        assert index.candidates(3) == []
-        assert index.count_matches(3) == 0
-        assert index.candidates(3, excluded=0b101) == []
+        assert index.domain(3) == 0
+        assert index.candidates(index.domain(3)) == []
+        assert index.count_matches(index.domain(3)) == 0
+        assert index.candidates(index.domain(3), excluded=0b101) == []
 
     def test_single_word_every_position(self):
         index = build_index(lex([("AAA", Source.FILLER, [])]))
         for i in range(3):
             assert index.masks[3, i, "A"] == 1
-            assert words_at(index, 3, index.candidates(3, [(i, "A")])) == ["AAA"]
+            assert words_at(index, 3, index.candidates(index.domain(3, [(i, "A")]))) == ["AAA"]
 
     def test_exclusion(self):
         lexicon = lex([("AB", Source.FILLER, []), ("BA", Source.FILLER, [])])
         index = build_index(lexicon)
-        assert index.candidates(2, excluded=0b01) == [1]
-        assert index.candidates(2, excluded=0b10) == [0]
-        assert index.candidates(2, excluded=0b11) == []
-        assert index.count_matches(2, excluded=0b01) == 1
+        assert index.candidates(index.domain(2), excluded=0b01) == [1]
+        assert index.candidates(index.domain(2), excluded=0b10) == [0]
+        assert index.candidates(index.domain(2), excluded=0b11) == []
+        assert index.count_matches(index.domain(2), excluded=0b01) == 1
         # excluding nothing, or bits past the top rank, changes nothing
-        assert index.candidates(2, excluded=0) == [0, 1]
-        assert index.candidates(2, excluded=0b100) == [0, 1]
+        assert index.candidates(index.domain(2), excluded=0) == [0, 1]
+        assert index.candidates(index.domain(2), excluded=0b100) == [0, 1]
         # bit 0, the top rank and the empty result; 21 ranks span three bytes
         words = sorted({f"{a}{b}" for a in "ABCDE" for b in "ABCDE"})[:21]
         index = build_index(lex([(w, Source.FILLER, []) for w in words]))
         top = len(words) - 1
         assert index.by_length[2][0] == "AA"
-        assert index.candidates(2, [(0, "A"), (1, "A")]) == [0]
+        assert index.candidates(index.domain(2, [(0, "A"), (1, "A")])) == [0]
         last = index.by_length[2][top]
-        assert index.candidates(2, [(0, last[0]), (1, last[1])]) == [top]
-        assert index.candidates(2) == list(range(top + 1))
-        assert index.count_matches(2) == top + 1
+        assert index.candidates(index.domain(2, [(0, last[0]), (1, last[1])])) == [top]
+        assert index.candidates(index.domain(2)) == list(range(top + 1))
+        assert index.count_matches(index.domain(2)) == top + 1
         full = (1 << (top + 1)) - 1
-        assert index.candidates(2, excluded=full) == []
-        assert index.count_matches(2, excluded=full) == 0
-        assert index.candidates(2, excluded=full ^ 1 << top) == [top]
-        assert index.candidates(2, [(0, "Z")]) == []
+        assert index.candidates(index.domain(2), excluded=full) == []
+        assert index.count_matches(index.domain(2), excluded=full) == 0
+        assert index.candidates(index.domain(2), excluded=full ^ 1 << top) == [top]
+        assert index.candidates(index.domain(2, [(0, "Z")])) == []
 
     def test_topic_first_ordering(self):
         lexicon = lex(
@@ -457,7 +458,7 @@ class TestWordIndex:
             ]
         )
         index = build_index(lexicon)
-        assert words_at(index, 2, index.candidates(2)) == ["MM", "ZZ", "AA"]
+        assert words_at(index, 2, index.candidates(index.domain(2))) == ["MM", "ZZ", "AA"]
 
     def test_invariants_against_definition(self):
         lexicon, index = _random_lexicon_index(seed=11)
@@ -495,13 +496,16 @@ class TestWordIndex:
             excluded = set(rng.sample(answers, rng.randint(0, 3)))
             mask = excluded_mask(index, excluded).get(length, 0)
             expected = naive_candidates(lexicon, length, fixed, excluded)
-            assert words_at(index, length, index.candidates(length, fixed, mask)) == expected
-            assert index.count_matches(length, sorted(fixed), mask) == len(expected)
+            domain = index.domain(length, fixed)
+            assert words_at(index, length, index.candidates(domain, mask)) == expected
+            assert index.count_matches(index.domain(length, sorted(fixed)), mask) == len(expected)
 
     def test_bad_position_rejected(self):
         _, index = _random_lexicon_index(seed=1)
         with pytest.raises(ValueError):
-            index.candidates(3, [(3, "A")])
+            index.domain(3, [(3, "A")])
+        with pytest.raises(ValueError):
+            index.domain(3, [(-1, "A")])
 
 
 def assert_index_matches_definition(lexicon, index):

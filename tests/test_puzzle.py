@@ -148,6 +148,27 @@ class TestVerify:
         assert [v.kind for v in report.violations] == ["quota"]
         assert verify_puzzle(puzzle, lexicon, 40).ok
 
+    @pytest.mark.parametrize("ratio", [1.0, 7.5, 0.25])
+    def test_claimed_ratio_must_match_the_tags(self, ratio):
+        fillers = [(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]]
+        _, _, _, lexicon, puzzle = solved_puzzle("..\n..", fillers)
+        assert puzzle.metadata.achieved_topic_ratio == 0.0
+        assert verify_puzzle(puzzle, lexicon, 0).ok
+        edited = replace(puzzle, metadata=replace(puzzle.metadata, achieved_topic_ratio=ratio))
+        report = verify_puzzle(edited, lexicon, 0)
+        assert [v.kind for v in report.violations] == ["ratio-mismatch"]
+
+    def test_claimed_ratio_allows_float_rounding(self):
+        _, _, _, lexicon, puzzle = solved_puzzle("..\n..", FOUR_WORDS, target_rate=50)
+        assert puzzle.metadata.achieved_topic_ratio == 0.5
+        for ratio in (0.5 + 1e-10, 0.5 - 1e-10):
+            edited = replace(puzzle, metadata=replace(puzzle.metadata, achieved_topic_ratio=ratio))
+            assert verify_puzzle(edited, lexicon, 50).ok
+        # a puzzle with no entries has no share to compare against
+        empty = replace(puzzle, entries=())
+        empty = replace(empty, metadata=replace(puzzle.metadata, achieved_topic_ratio=7.5))
+        assert "ratio-mismatch" not in [v.kind for v in verify_puzzle(empty, lexicon, 0).violations]
+
     def test_missing_and_unknown_slots(self):
         _, _, _, lexicon, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
         report = verify_puzzle(replace(puzzle, entries=puzzle.entries[1:]), lexicon, 0)

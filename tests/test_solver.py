@@ -32,11 +32,21 @@ def lex_index(words):
     return lexicon, build_index(lexicon)
 
 
-def state_with(assignment=None, cell_letters=None, topic_count=0):
+def slot_domain(index, slot, letters):
+    """Domain of ``slot`` from scratch: the answers fitting the letters in its cells."""
+    fixed = [(i, letters[cell]) for i, cell in enumerate(slot.cells) if cell in letters]
+    return index.domain(slot.length, fixed)
+
+
+def state_with(slotset, index, assignment=None, cell_letters=None, topic_count=0):
+    """A search state whose domains are seeded from ``cell_letters``, as an
+    episode seeds them from its (empty) letters at the root."""
+    letters = cell_letters or {}
     return FillState(
         assignment=assignment or {},
-        cell_letters=cell_letters or {},
+        cell_letters=letters,
         topic_count=topic_count,
+        domain=[slot_domain(index, slot, letters) for slot in slotset.slots],
     )
 
 
@@ -59,16 +69,16 @@ class TestChooseNextSlot:
             ]
         )
         slotset = extract_slots(parse_pattern("..#.."))
-        state = state_with(cell_letters={(0, 0): "Z"})
-        assert index.count_matches(2, [(0, "Z")]) == 1
+        state = state_with(slotset, index, cell_letters={(0, 0): "Z"})
+        assert index.count_matches(index.domain(2, [(0, "Z")])) == 1
         assert choose_next_slot(state, slotset, index) == 0
         # and with the letter on the other slot instead, the pick follows
-        state = state_with(cell_letters={(0, 3): "Z"})
+        state = state_with(slotset, index, cell_letters={(0, 3): "Z"})
         assert choose_next_slot(state, slotset, index) == 1
         # with AB..CD (ranks 0-5) placed elsewhere both slots keep only ZA,
         # and the tie goes to the lowest id
         state.used[2] = 0b111111
-        assert index.count_matches(2, [], state.used[2]) == 1
+        assert index.count_matches(index.domain(2), state.used[2]) == 1
         assert choose_next_slot(state, slotset, index) == 0
 
     def test_uniform_tie_breaks_to_lowest_id(self):
@@ -76,17 +86,17 @@ class TestChooseNextSlot:
             [(w, Source.FILLER, ()) for w in ["AB", "BA", "AA", "BB"]]
         )
         slotset = extract_slots(parse_pattern("..\n.."))
-        assert choose_next_slot(state_with(), slotset, index) == 0
+        assert choose_next_slot(state_with(slotset, index), slotset, index) == 0
 
     def test_dead_slot_forces_backtrack(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "BA"]])
         slotset = extract_slots(parse_pattern("..\n.."))
-        state = state_with(cell_letters={(0, 0): "Z"})  # no word starts with Z
+        state = state_with(slotset, index, cell_letters={(0, 0): "Z"})  # no word starts with Z
         chosen = choose_next_slot(state, slotset, index)
         slot = slotset.slots[chosen]
         assert (0, 0) in slot.cells
         fixed = [(i, "Z") for i, cell in enumerate(slot.cells) if cell == (0, 0)]
-        assert index.count_matches(slot.length, fixed) == 0
+        assert index.count_matches(index.domain(slot.length, fixed)) == 0
 
     def test_degree_tiebreak(self):
         # 3x3 with a black corner: across 0-2 are rows, down 3-5 are columns.
@@ -97,10 +107,67 @@ class TestChooseNextSlot:
         slotset = extract_slots(parse_pattern("...\n...\n..#"))
         assert [s.length for s in slotset.slots] == [3, 3, 2, 3, 3, 2]
         # slots 0, 1, 3 and 4 each cross three others; the lowest id wins
-        assert choose_next_slot(state_with(), slotset, index) == 0
+        assert choose_next_slot(state_with(slotset, index), slotset, index) == 0
         # with slot 5 assigned (no letters placed) rows 0 and 1 cross two
         # unassigned slots and columns 3 and 4 still cross three
-        assert choose_next_slot(state_with(assignment={5: None}), slotset, index) == 3
+        state = state_with(slotset, index, assignment={5: None})
+        assert choose_next_slot(state, slotset, index) == 3
+
+
+class TestForwardChecking:
+    def test_domains_match_the_placed_letters_at_every_node(self, monkeypatch):
+        # Wrap MRV, which runs once per real node, and recompute every open
+        # slot's domain from the letters in its cells.
+        real_choose = solver_module.choose_next_slot
+        checked = []
+        narrowed = []
+
+        def checking_choose(state, slotset, index):
+            for slot in slotset.slots:
+                if slot.slot_id not in state.assignment:
+                    expected = slot_domain(index, slot, state.cell_letters)
+                    assert state.domain[slot.slot_id] == expected
+                    narrowed.append(expected != index.domain(slot.length))
+            checked.append(len(state.assignment))
+            return real_choose(state, slotset, index)
+
+        monkeypatch.setattr(solver_module, "choose_next_slot", checking_choose)
+        rng = random.Random(31)
+        for _ in range(30):
+            _, slotset, _, index = random_small_instance(rng)
+            for rate in (0, 50, 100):
+                config = SolverConfig(
+                    target_rate=rate, node_budget=200, time_limit=20, restart_interval=10,
+                    seed=rng.randrange(1000),
+                )
+                solve(slotset, index, config)
+        # the sample reaches deep nodes, where crossings have narrowed domains
+        assert len(checked) > 400 and max(checked) >= 4 and sum(narrowed) > 400
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_doomed_path_keeps_the_topic_order_and_the_random_stream(self, seed):
+        words = sorted({f"{a}{b}{c}" for a in "ABCD" for b in "ABCD" for c in "ABC"})
+        _, index = lex_index(
+            [(w, Source.TOPIC if i % 3 == 0 else Source.FILLER, ()) for i, w in enumerate(words)]
+        )
+        n_topic = index.topic_count[3]
+        assert 0 < n_topic < len(index.by_length[3])
+        pick = random.Random(seed)
+        domain = index.domain(3, [(1, pick.choice("ABCD"))])
+        excluded = sum(1 << r for r in pick.sample(range(len(words)), 5))
+        full_rng, doomed_rng = random.Random(seed), random.Random(seed)
+        full, n_doomed = solver_module._ordered_candidates(
+            index, 3, domain, excluded, full_rng, doomed=False
+        )
+        topic, n_filler = solver_module._ordered_candidates(
+            index, 3, domain, excluded, doomed_rng, doomed=True
+        )
+        assert n_doomed == 0
+        assert full[: len(topic)] == topic and all(r < n_topic for r in topic)
+        assert n_filler == len(full) - len(topic) > 1
+        assert all(r >= n_topic for r in full[len(topic):])
+        assert doomed_rng.getstate() == full_rng.getstate()
+
 
 class TestSolveSmall:
     def test_single_slot_topic(self):

@@ -77,9 +77,19 @@ def _solver_config(args: argparse.Namespace, target_rate: int) -> solver.SolverC
     )
 
 
+def _checked_pattern(pattern: grid.GridPattern, path: str) -> grid.GridPattern:
+    """``pattern`` if it passes validation; otherwise a DataError naming ``path``."""
+    violations = grid.validate_pattern(pattern).violations
+    if violations:
+        where = f"{path}: pattern {pattern.pattern_id!r}" if pattern.pattern_id else path
+        raise DataError(f"{where}: " + "; ".join(v.message for v in violations))
+    return pattern
+
+
 def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
     if args.pattern:
-        return grid.parse_pattern_file(Path(args.pattern).read_text("utf-8"))[0]
+        pattern = grid.parse_pattern_file(Path(args.pattern).read_text("utf-8"))[0]
+        return _checked_pattern(pattern, args.pattern)
     if args.size and args.black is not None:
         height, width = args.size
         return grid.generate_random_patterns(
@@ -161,6 +171,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    patterns = None
+    if args.patterns:
+        patterns = grid.parse_pattern_file(Path(args.patterns).read_text("utf-8"))
+        seen: set[str] = set()
+        for pattern in patterns:
+            _checked_pattern(pattern, args.patterns)
+            # records, seeds and summaries are keyed by pattern id
+            if pattern.pattern_id in seen:
+                raise DataError(
+                    f"{args.patterns}: pattern id {pattern.pattern_id!r} is used more than "
+                    "once; give each pattern its own 'id:' line"
+                )
+            seen.add(pattern.pattern_id)
     index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
     height, width = args.size
     config = harness.SweepConfig(
@@ -174,9 +197,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         solver=_solver_config(args, target_rate=args.t_values[0]),
         early_stop=not args.no_early_stop,
     )
-    patterns = None
-    if args.patterns:
-        patterns = grid.parse_pattern_file(Path(args.patterns).read_text("utf-8"))
     records = harness.run_sweep(config, index, patterns=patterns, jobs=args.jobs)
     harness.write_records_csv(records, args.out)
     if args.summary or args.svg:

@@ -3,7 +3,7 @@
 A pattern is a fixed rectangle of black and white cells. Maximal white runs
 of at least ``MIN_SLOT_LENGTH`` cells are the slots that receive answer words;
 a cell shared by an across and a down slot is a crossing where both answers
-must agree.
+must agree. Each slot carries a link per cell to the slot crossing it there.
 """
 
 from __future__ import annotations
@@ -102,17 +102,18 @@ class Slot:
 
 @dataclass(frozen=True)
 class SlotSet:
-    """All slots of a pattern in canonical order, plus crossing structure.
+    """All slots of a pattern in canonical order, plus their crossing links.
 
     Canonical order: across slots row-major by start, then down slots
     row-major by start; ``slot_id`` equals the position in ``slots``.
-    ``cell_to_slots`` maps each slotted cell to its (slot_id, index-in-slot)
-    memberships, across membership first. A cell with two memberships is a
-    crossing; an across and a down slot share at most one cell.
+    ``crossings[sid][i]`` is ``(other_sid, j)`` when cell ``i`` of slot
+    ``sid`` is cell ``j`` of slot ``other_sid``, and ``None`` when no other
+    slot passes through it. Links are symmetric, and an across and a down
+    slot share at most one cell.
     """
 
     slots: tuple[Slot, ...]
-    cell_to_slots: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    crossings: tuple[tuple[tuple[int, int] | None, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -187,33 +188,27 @@ def _white_runs(lines: Iterable[str]) -> list[tuple[int, range]]:
 
 
 def extract_slots(pattern: GridPattern) -> SlotSet:
-    """Extract all slots of a pattern in canonical order, with each cell's memberships."""
+    """Extract all slots of a pattern in canonical order, with their crossing links."""
     across = [tuple((r, c) for c in span) for r, span in _white_runs(pattern.cells)]
     columns = ("".join(column) for column in zip(*pattern.cells))
     # Columns come out column-major; sorting by start cell makes them row-major.
     down = sorted(tuple((r, c) for r in span) for c, span in _white_runs(columns))
 
-    slots = []
-    cell_to_slots: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for orientation, runs in ((Orientation.ACROSS, across), (Orientation.DOWN, down)):
-        for cells in runs:
-            sid = len(slots)
-            slots.append(
-                Slot(
-                    slot_id=sid,
-                    orientation=orientation,
-                    start=cells[0],
-                    length=len(cells),
-                    cells=cells,
-                )
-            )
-            for idx, cell in enumerate(cells):
-                cell_to_slots.setdefault(cell, []).append((sid, idx))
-
-    return SlotSet(
-        slots=tuple(slots),
-        cell_to_slots={cell: tuple(v) for cell, v in cell_to_slots.items()},
+    runs = [(Orientation.ACROSS, cells) for cells in across]
+    runs += [(Orientation.DOWN, cells) for cells in down]
+    slots = tuple(
+        Slot(slot_id=sid, orientation=o, start=cells[0], length=len(cells), cells=cells)
+        for sid, (o, cells) in enumerate(runs)
     )
+    crossings: list[list[tuple[int, int] | None]] = [[None] * s.length for s in slots]
+    across_at = {cell: (a, i) for a, cells in enumerate(across) for i, cell in enumerate(cells)}
+    for d, cells in enumerate(down, start=len(across)):
+        for j, cell in enumerate(cells):
+            if cell in across_at:
+                a, i = across_at[cell]
+                crossings[a][i] = (d, j)
+                crossings[d][j] = (a, i)
+    return SlotSet(slots=slots, crossings=tuple(tuple(links) for links in crossings))
 
 
 def validate_pattern(pattern: GridPattern) -> ValidationReport:
@@ -226,8 +221,8 @@ def validate_pattern(pattern: GridPattern) -> ValidationReport:
         )
         return ValidationReport(violations=tuple(violations))
 
-    slotset = extract_slots(pattern)
-    uncovered = [cell for cell in whites if cell not in slotset.cell_to_slots]
+    covered = {cell for slot in extract_slots(pattern).slots for cell in slot.cells}
+    uncovered = [cell for cell in whites if cell not in covered]
     for cell in uncovered:
         violations.append(
             Violation(

@@ -212,11 +212,6 @@ class Lexicon:
         record = self.records.get(answer)
         return None if record is None else LexiconEntry(answer, *record)
 
-    @property
-    def entries(self) -> tuple[LexiconEntry, ...]:
-        """Every entry, sorted by answer; built anew on each access."""
-        return tuple(self.lookup(answer) for answer in sorted(self.records))
-
     def __len__(self) -> int:
         return len(self.records)
 

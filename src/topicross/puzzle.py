@@ -7,7 +7,14 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-from .grid import GridPattern, Orientation, SlotSet, extract_slots, parse_pattern
+from .grid import (
+    GridPattern,
+    Orientation,
+    SlotSet,
+    extract_slots,
+    parse_pattern,
+    validate_pattern,
+)
 from .lexicon import Lexicon, Source
 from .solver import FillResult
 from .util import DataError, derive_seed, json_field
@@ -114,15 +121,18 @@ def assemble(
 def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> VerificationReport:
     """Re-check a puzzle from scratch; violations are data, not errors.
 
-    Checks slot coverage, entry geometry, crossing-letter agreement, lexicon
-    membership, each entry's source against the lexicon's, the duplicate-answer
-    rule, the topic quota, and the metadata's ``achieved_topic_ratio`` against
-    the share of entries the file tags topic. A topic answer counts toward the
+    Checks the pattern (every white cell lies in a slot), slot coverage,
+    entry geometry, crossing-letter agreement, lexicon membership, each
+    entry's source against the lexicon's, the duplicate-answer rule, the
+    topic quota, and the metadata's ``achieved_topic_ratio`` against the
+    share of entries the file tags topic. A topic answer counts toward the
     quota only when the lexicon tags it topic and the entry agrees; the file's
     tag alone counts for nothing. Deliberately independent of the solver:
     letters are re-placed cell by cell here.
     """
-    violations: list[PuzzleViolation] = []
+    violations = [
+        PuzzleViolation(v.kind, v.message) for v in validate_pattern(puzzle.pattern).violations
+    ]
     slotset = extract_slots(puzzle.pattern)
     slots_by_id = {s.slot_id: s for s in slotset.slots}
 

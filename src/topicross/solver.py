@@ -9,11 +9,11 @@ random states.
 
 The search state keeps each slot's domain, the mask of the answers that fit
 the letters already in its cells, by forward checking (Haralick & Elliott
-1980): a placement narrows the domain of every slot crossing a cell it
-letters, and undo restores the saved masks. When no filler could still meet
-the quota, only the topic candidates are decoded and placed; the fillers are
-counted as expanded nodes without being decoded or placed, so node counts
-are unchanged.
+1980): following the grid's crossing links, a placement narrows the domain
+of every unassigned slot it crosses, and undo restores the saved masks.
+When no filler could still meet the quota, only the topic candidates are
+decoded and placed; the fillers are counted as expanded nodes without being
+decoded or placed, so node counts are unchanged.
 
 ``brute_force_solve`` is an independent exhaustive oracle for small instances;
 it shares no search code with the main engine.
@@ -86,10 +86,13 @@ class SolverConfig:
 
 @dataclass
 class FillState:
-    """Mutable search state for one episode."""
+    """Mutable search state for one episode.
+
+    The placed letters live in the domains: an unassigned slot's domain holds
+    only the answers that agree with every assigned slot crossing it.
+    """
 
     assignment: dict[int, str] = field(default_factory=dict)  # slot_id -> answer
-    cell_letters: dict[tuple[int, int], str] = field(default_factory=dict)
     topic_count: int = 0
     used: dict[int, int] = field(default_factory=dict)  # length -> mask of placed ranks
     # slot_id -> mask of the answers matching the letters in the slot's cells
@@ -143,14 +146,9 @@ def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> in
         return tied[0]
 
     def degree(sid: int) -> int:
-        # Each across/down pair shares at most one cell, so counting crossing
-        # cells counts the unassigned slots this one crosses.
-        return sum(
-            other not in assigned
-            for cell in slotset.slots[sid].cells
-            for other, _ in slotset.cell_to_slots[cell]
-            if other != sid
-        )
+        # Each across/down pair shares at most one cell, so counting links
+        # counts the unassigned slots this one crosses.
+        return sum(link is not None and link[0] not in assigned for link in slotset.crossings[sid])
 
     return min(tied, key=lambda sid: (-degree(sid), sid))
 
@@ -203,17 +201,9 @@ def _run_episode(
     need = quota_needed(total, config.target_rate)
     budget = config.node_budget
     slots = slotset.slots
+    crossings = slotset.crossings
     masks = index.masks
-    letters = state.cell_letters
     state.domain = domain = [index.domain(slot.length) for slot in slots]
-    # crossing[sid][i]: (slot id, length, position in it) of the other slot
-    # through cell i of slot sid, or None
-    crossing: list[list[tuple[int, int, int] | None]] = [[None] * s.length for s in slots]
-    for members in slotset.cell_to_slots.values():
-        if len(members) == 2:
-            (a, i), (b, j) = members
-            crossing[a][i] = (b, slots[b].length, j)
-            crossing[b][j] = (a, slots[a].length, i)
 
     # Invariant: topic_count + open slots >= need. It holds at the root, a
     # topic placement keeps it, and no filler that breaks it is placed.
@@ -241,24 +231,18 @@ def _run_episode(
             if rank < topic_end:
                 state.topic_count += 1
             state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
-            new_cells = []
             saved = []  # (slot id, its domain before this placement)
-            for cell, letter, cross in zip(slot.cells, answer, crossing[sid]):
-                if cell not in letters:
-                    letters[cell] = letter
-                    new_cells.append(cell)
-                    if cross is not None:
-                        other, length, pos = cross
-                        saved.append((other, domain[other]))
-                        domain[other] &= masks.get((length, pos, letter), 0)
+            for letter, link in zip(answer, crossings[sid]):
+                if link is not None and link[0] not in state.assignment:
+                    other, pos = link
+                    saved.append((other, domain[other]))
+                    domain[other] &= masks.get((slots[other].length, pos, letter), 0)
 
             if dfs():
                 return True
 
             for other, old in reversed(saved):
                 domain[other] = old
-            for cell in new_cells:
-                del letters[cell]
             state.used[slot.length] ^= 1 << rank
             if rank < topic_end:
                 state.topic_count -= 1

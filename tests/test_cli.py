@@ -106,6 +106,42 @@ class TestExitCodes:
         assert not out.exists()  # failed runs leave no partial output
         assert "failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_invalid_pattern_is_a_data_error(self, workdir, capsys, command):
+        # (0, 0) is white but lies in no slot
+        bad = workdir / "bad.txt"
+        bad.write_text(".#.\n#..\n", encoding="utf-8")
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        out = workdir / "never"
+        flag = "--pattern" if command == "generate" else "--patterns"
+        code = run(
+            [command, flag, bad, "--lexicon", words, "--node-budget", "100", "--out", out]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {bad}: white cell (0, 0) belongs to no slot of length >= 2\n"
+        )
+
+    @pytest.mark.parametrize(
+        "id_lines", [("", ""), ("id: a\n", "id: a\n")], ids=["no-id", "same-id"]
+    )
+    def test_sweep_rejects_repeated_pattern_ids(self, workdir, capsys, id_lines):
+        patterns = workdir / "patterns.txt"
+        patterns.write_text("\n".join(f"{i}..\n..\n" for i in id_lines), encoding="utf-8")
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        out, summary = workdir / "records.csv", workdir / "summary.json"
+        code = run(
+            ["sweep", "--patterns", patterns, "--lexicon", words, "--t-values", "0",
+             "--node-budget", "100", "--out", out, "--summary", summary]
+        )
+        assert code == 3
+        assert not out.exists() and not summary.exists()
+        pattern_id = id_lines[0][4:].strip()
+        assert f"pattern id {pattern_id!r} is used more than once" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -408,6 +444,27 @@ class TestPipelineCommands:
         assert run(["verify", "--puzzle", edited, "--lexicon", words]) == 1
         kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
         assert kinds == ["ratio-mismatch"]
+
+    def test_verify_flags_an_isolated_white_cell(self, workdir, capsys):
+        # the fill of a pattern whose white cell (0, 0) lies in no slot
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        doc = {
+            "pattern": ".#.\n#..",
+            "entries": [
+                {"slot_id": 0, "orientation": "across", "row": 1, "col": 1,
+                 "answer": "BD", "source": "filler", "clue": "c"},
+                {"slot_id": 1, "orientation": "down", "row": 0, "col": 2,
+                 "answer": "CD", "source": "filler", "clue": "c"},
+            ],
+            "metadata": {"target_rate": 0, "achieved_topic_ratio": 0.0, "seed": 0,
+                         "elapsed_ms": 0, "restarts": 0},
+        }
+        pzl = workdir / "isolated.json"
+        pzl.write_text(json.dumps(doc), encoding="utf-8")
+        assert run(["verify", "--puzzle", pzl, "--lexicon", words]) == 1
+        kinds = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert kinds == ["isolated-white"]
 
     def test_verify_checks_records_of_answers_not_in_the_puzzle(self, workdir, capsys):
         words = workdir / "four.txt"

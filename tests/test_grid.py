@@ -131,12 +131,13 @@ class TestExtractSlots:
         slot = ss.slots[0]
         assert slot.orientation is Orientation.ACROSS
         assert slot.length == 5
-        assert ss.cell_to_slots == {(0, c): ((0, c),) for c in range(5)}
+        assert slot.cells == tuple((0, c) for c in range(5))
+        assert ss.crossings == ((None,) * 5,)
 
     def test_all_black(self):
         p = GridPattern(7, 7, tuple("#" * 7 for _ in range(7)))
         ss = extract_slots(p)
-        assert not ss.slots and not ss.cell_to_slots
+        assert not ss.slots and not ss.crossings
 
     def test_2x2_all_white(self):
         ss = extract_slots(parse_pattern("..\n.."))
@@ -145,8 +146,8 @@ class TestExtractSlots:
         assert len(across) == 2 and len(down) == 2
         assert all(s.length == 2 for s in ss.slots)
         # every cell is a crossing
-        assert len(ss.cell_to_slots) == 4
-        assert all(len(members) == 2 for members in ss.cell_to_slots.values())
+        assert len({cell for s in ss.slots for cell in s.cells}) == 4
+        assert all(link is not None for links in ss.crossings for link in links)
 
     def test_canonical_order(self):
         ss = extract_slots(parse_pattern("...\n#..\n..."))
@@ -173,20 +174,25 @@ class TestExtractSlots:
             in_run = {"across": set(), "down": set()}
             for kind, cells in naive_runs(p):
                 in_run[kind].update(cells)
-            assert set(ss.cell_to_slots) == in_run["across"] | in_run["down"]
+            slotted = {cell for s in ss.slots for cell in s.cells}
+            assert slotted == in_run["across"] | in_run["down"]
+            assert [len(links) for links in ss.crossings] == [s.length for s in ss.slots]
+            crossed = in_run["across"] & in_run["down"]
             pair_counts = {}
-            for cell, members in ss.cell_to_slots.items():
-                for sid, idx in members:
-                    assert ss.slots[sid].cells[idx] == cell
-                # one membership per run through the cell, across first: two
-                # memberships exactly where an across and a down run cross
-                expected = [
-                    Orientation(kind) for kind in ("across", "down") if cell in in_run[kind]
-                ]
-                assert [ss.slots[sid].orientation for sid, _ in members] == expected
-                if len(members) == 2:
-                    key = (members[0][0], members[1][0])
-                    pair_counts[key] = pair_counts.get(key, 0) + 1
+            for slot, links in zip(ss.slots, ss.crossings):
+                for i, (cell, link) in enumerate(zip(slot.cells, links)):
+                    # a link exactly where an across and a down run cross
+                    assert (link is not None) == (cell in crossed)
+                    if link is None:
+                        continue
+                    other, j = link
+                    # the link points to the same cell of a slot of the other
+                    # orientation, and that slot links back
+                    assert ss.slots[other].cells[j] == cell
+                    assert ss.slots[other].orientation is not slot.orientation
+                    assert ss.crossings[other][j] == (slot.slot_id, i)
+                    pair = (slot.slot_id, other)
+                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
             # no slot pair shares more than one cell
             assert all(v == 1 for v in pair_counts.values())
 

@@ -169,6 +169,18 @@ class TestVerify:
         empty = replace(empty, metadata=replace(puzzle.metadata, achieved_topic_ratio=7.5))
         assert "ratio-mismatch" not in [v.kind for v in verify_puzzle(empty, lexicon, 0).violations]
 
+    def test_pattern_must_be_valid(self):
+        # (0, 0) is white but lies in no slot: the fill never gives it a letter
+        _, _, _, lexicon, puzzle = solved_puzzle(".#.\n#..", FOUR_WORDS)
+        report = verify_puzzle(puzzle, lexicon, 0)
+        assert [(v.kind, v.detail) for v in report.violations] == [
+            ("isolated-white", "white cell (0, 0) belongs to no slot of length >= 2")
+        ]
+        blank = replace(puzzle, pattern=parse_pattern("##"), entries=())
+        assert [v.kind for v in verify_puzzle(blank, lexicon, 0).violations] == [
+            "no-white-cells"
+        ]
+
     def test_missing_and_unknown_slots(self):
         _, _, _, lexicon, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
         report = verify_puzzle(replace(puzzle, entries=puzzle.entries[1:]), lexicon, 0)
@@ -209,7 +221,7 @@ class TestVerify:
             # ``split`` is a filler in one file and a topic word in the other;
             # ``accented`` is reachable only through normalization.
             first, second = [], []
-            for e in lexicon.entries:
+            for e in map(lexicon.lookup, sorted(lexicon.records)):
                 if e.answer == split:
                     first.append({"surface": split.lower(), "source": "filler", "clues": ["f"]})
                     second.append({"surface": split, "source": "topic", "clues": ["t", "f"]})
@@ -234,7 +246,7 @@ class TestVerify:
                 tampered = replace(puzzle, entries=tuple(entries[:i] + [changed] + entries[i + 1:]))
                 answers = {e.answer for e in tampered.entries}
                 filtered = ingest_lexicon(paths, answers=answers)
-                assert {e.answer for e in filtered.entries} <= answers
+                assert set(filtered.records) <= answers
                 for target_rate in (0, 50, 100):
                     assert verify_puzzle(tampered, filtered, target_rate) == verify_puzzle(
                         tampered, full, target_rate

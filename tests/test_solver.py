@@ -38,13 +38,21 @@ def slot_domain(index, slot, letters):
     return index.domain(slot.length, fixed)
 
 
-def state_with(slotset, index, assignment=None, cell_letters=None, topic_count=0):
-    """A search state whose domains are seeded from ``cell_letters``, as an
+def placed_letters(slotset, assignment):
+    """Cell -> letter of every assigned answer, rebuilt from the slots' cells."""
+    return {
+        cell: letter
+        for sid, answer in assignment.items()
+        for cell, letter in zip(slotset.slots[sid].cells, answer)
+    }
+
+
+def state_with(slotset, index, assignment=None, letters=None, topic_count=0):
+    """A search state whose domains are seeded from ``letters``, as an
     episode seeds them from its (empty) letters at the root."""
-    letters = cell_letters or {}
+    letters = letters or {}
     return FillState(
         assignment=assignment or {},
-        cell_letters=letters,
         topic_count=topic_count,
         domain=[slot_domain(index, slot, letters) for slot in slotset.slots],
     )
@@ -69,11 +77,11 @@ class TestChooseNextSlot:
             ]
         )
         slotset = extract_slots(parse_pattern("..#.."))
-        state = state_with(slotset, index, cell_letters={(0, 0): "Z"})
+        state = state_with(slotset, index, letters={(0, 0): "Z"})
         assert index.count_matches(index.domain(2, [(0, "Z")])) == 1
         assert choose_next_slot(state, slotset, index) == 0
         # and with the letter on the other slot instead, the pick follows
-        state = state_with(slotset, index, cell_letters={(0, 3): "Z"})
+        state = state_with(slotset, index, letters={(0, 3): "Z"})
         assert choose_next_slot(state, slotset, index) == 1
         # with AB..CD (ranks 0-5) placed elsewhere both slots keep only ZA,
         # and the tie goes to the lowest id
@@ -91,7 +99,7 @@ class TestChooseNextSlot:
     def test_dead_slot_forces_backtrack(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "BA"]])
         slotset = extract_slots(parse_pattern("..\n.."))
-        state = state_with(slotset, index, cell_letters={(0, 0): "Z"})  # no word starts with Z
+        state = state_with(slotset, index, letters={(0, 0): "Z"})  # no word starts with Z
         chosen = choose_next_slot(state, slotset, index)
         slot = slotset.slots[chosen]
         assert (0, 0) in slot.cells
@@ -117,15 +125,16 @@ class TestChooseNextSlot:
 class TestForwardChecking:
     def test_domains_match_the_placed_letters_at_every_node(self, monkeypatch):
         # Wrap MRV, which runs once per real node, and recompute every open
-        # slot's domain from the letters in its cells.
+        # slot's domain from the letters the assigned answers put in its cells.
         real_choose = solver_module.choose_next_slot
         checked = []
         narrowed = []
 
         def checking_choose(state, slotset, index):
+            letters = placed_letters(slotset, state.assignment)
             for slot in slotset.slots:
                 if slot.slot_id not in state.assignment:
-                    expected = slot_domain(index, slot, state.cell_letters)
+                    expected = slot_domain(index, slot, letters)
                     assert state.domain[slot.slot_id] == expected
                     narrowed.append(expected != index.domain(slot.length))
             checked.append(len(state.assignment))
@@ -393,7 +402,7 @@ class TestAgainstOracle:
 class TestMaximizeTopicRate:
     def test_all_topic_lexicon(self, tiny_lexicon):
         lexicon, _ = tiny_lexicon
-        records = [(e.answer, Source.TOPIC, ()) for e in lexicon.entries]
+        records = [(answer, Source.TOPIC, ()) for answer in sorted(lexicon.records)]
         index = build_index(ingest_records(records))
         slotset = extract_slots(parse_pattern("..\n.."))
         result = maximize_topic_rate(slotset, index, UNLIMITED)

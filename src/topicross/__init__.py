@@ -38,7 +38,6 @@ from .solver import (
     SolverConfig,
     Status,
     brute_force_solve,
-    maximize_topic_rate,
     solve,
 )
 from .harness import ExperimentRecord, SweepConfig, run_sweep, summarize
@@ -72,7 +71,6 @@ __all__ = [
     "generate_clue",
     "generate_random_patterns",
     "ingest_lexicon",
-    "maximize_topic_rate",
     "normalize",
     "parse_pattern",
     "puzzle_to_json",

@@ -86,10 +86,17 @@ def _checked_pattern(pattern: grid.GridPattern, path: str) -> grid.GridPattern:
     return pattern
 
 
+def _read_patterns(path: str) -> list[grid.GridPattern]:
+    """The patterns of a pattern file; a malformed one is a DataError naming it."""
+    try:
+        return grid.parse_pattern_file(Path(path).read_text("utf-8"))
+    except grid.PatternError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
     if args.pattern:
-        pattern = grid.parse_pattern_file(Path(args.pattern).read_text("utf-8"))[0]
-        return _checked_pattern(pattern, args.pattern)
+        return _checked_pattern(_read_patterns(args.pattern)[0], args.pattern)
     if args.size and args.black is not None:
         height, width = args.size
         return grid.generate_random_patterns(
@@ -147,16 +154,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     index = lexicon.build_index(lex)
     slotset = grid.extract_slots(pattern)
     config = _solver_config(args, args.target_rate)
-    if args.max_topic:
-        result = solver.maximize_topic_rate(slotset, index, config)
-    else:
-        result = solver.solve(slotset, index, config)
+    result = solver.solve(slotset, index, config, maximize=args.max_topic)
     if not result.success:
-        print(
-            f"generation failed: {result.status.value}, "
-            f"best achieved topic ratio {result.achieved_topic_ratio:.2f}",
-            file=sys.stderr,
-        )
+        print(f"generation failed: {result.status.value}", file=sys.stderr)
         return EXIT_FAILURE
     pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
     if args.format == "json":
@@ -173,7 +173,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     patterns = None
     if args.patterns:
-        patterns = grid.parse_pattern_file(Path(args.patterns).read_text("utf-8"))
+        patterns = _read_patterns(args.patterns)
         seen: set[str] = set()
         for pattern in patterns:
             _checked_pattern(pattern, args.patterns)

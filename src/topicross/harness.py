@@ -220,21 +220,21 @@ def summarize(records: Sequence[ExperimentRecord]) -> SweepSummary:
     """Success probability and generation-time quantiles per target rate and
     per black-cell count.
 
-    The per-rate denominator is every (pattern, trial) cell seen anywhere in
-    the records: a cell missing at some rate was early-stopped, and an
+    Every (pattern, trial) cell seen anywhere in the records counts once per
+    rate seen anywhere: a cell missing at some rate was early-stopped, and an
     early-stopped cell is a known failure.
     """
     if not records:
         raise EmptyInputError("no records to summarize")
 
+    rates = sorted({r.t for r in records})
     n_cells = len({(r.pattern_id, r.trial) for r in records})
-    by_rate = {}
-    for t in sorted({r.t for r in records}):
-        by_rate[t] = _group([r for r in records if r.t == t], n_cells)
+    by_rate = {t: _group([r for r in records if r.t == t], n_cells) for t in rates}
     by_black = {}
     for n_black in sorted({r.n_black for r in records}):
         recs = [r for r in records if r.n_black == n_black]
-        by_black[n_black] = _group(recs, len(recs))
+        cells = {(r.pattern_id, r.trial) for r in recs}
+        by_black[n_black] = _group(recs, len(cells) * len(rates))
     return SweepSummary(by_target_rate=by_rate, by_black_count=by_black)
 
 

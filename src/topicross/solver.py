@@ -7,6 +7,12 @@ of the placed answers are topic words. Episodes restart on a fixed cadence
 (wall-clock interval, or a node budget in deterministic mode) with fresh
 random states.
 
+Maximizing the topic share is branch and bound (Land & Doig 1960) in the same
+search: each complete fill becomes the incumbent, the quota rises to one topic
+answer more than it holds, and a node that can no longer reach the quota is
+cut. The raised quota carries over restarts, and an episode that exhausts its
+space after an incumbent exists proves the incumbent optimal.
+
 The search state keeps each slot's domain, the mask of the answers that fit
 the letters already in its cells, by forward checking (Haralick & Elliott
 1980): following the grid's crossing links, a placement narrows the domain
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
 
@@ -89,9 +95,12 @@ class FillState:
     """Mutable search state for one episode.
 
     The placed letters live in the domains: an unassigned slot's domain holds
-    only the answers that agree with every assigned slot crossing it.
+    only the answers that agree with every assigned slot crossing it. ``need``
+    and ``best`` carry over from episode to episode.
     """
 
+    need: int = 0  # topic answers a complete fill must hold
+    best: dict[int, str] | None = None  # last complete fill; need - 1 topic answers
     assignment: dict[int, str] = field(default_factory=dict)  # slot_id -> answer
     topic_count: int = 0
     used: dict[int, int] = field(default_factory=dict)  # length -> mask of placed ranks
@@ -195,28 +204,40 @@ def _run_episode(
     state: FillState,
     rng: Random,
     deadline: float | None,
+    maximize: bool,
 ) -> Status:
-    """One search from an empty fill; ``TIMEOUT`` means the budget or deadline cut it."""
+    """One search from an empty fill for ``state.need`` topic answers.
+
+    A complete fill is stored in ``state.best`` and raises ``state.need`` past
+    its topic count. Without ``maximize`` that ends the episode (``SUCCESS``);
+    with it the search goes on, so ``EXHAUSTED`` means no fill beats
+    ``state.best``. ``TIMEOUT`` means the budget or deadline cut it.
+    """
     total = len(slotset.slots)
-    need = quota_needed(total, config.target_rate)
     budget = config.node_budget
     slots = slotset.slots
     crossings = slotset.crossings
     masks = index.masks
     state.domain = domain = [index.domain(slot.length) for slot in slots]
 
-    # Invariant: topic_count + open slots >= need. It holds at the root, a
-    # topic placement keeps it, and no filler that breaks it is placed.
+    # Invariant: topic_count + open slots >= need while need stays put. It
+    # holds at the root, a topic placement keeps it, and no filler that breaks
+    # it is placed; only a complete fill in maximize mode raises need.
     def dfs() -> bool:
-        if len(state.assignment) == total:
-            return state.topic_count >= need
+        open_slots = total - len(state.assignment)
+        if state.topic_count + open_slots < state.need:
+            return False
+        if not open_slots:
+            state.best = dict(state.assignment)
+            state.need = state.topic_count + 1
+            return not maximize
         sid = choose_next_slot(state, slotset, index)
         slot = slots[sid]
         pool = index.by_length.get(slot.length, ())
         topic_end = index.topic_count.get(slot.length, 0)
         # A filler here would leave the quota unreachable: search only the
         # topic candidates, then count each filler as an expanded node.
-        doomed = state.topic_count + total - len(state.assignment) - 1 < need
+        doomed = state.topic_count + open_slots - 1 < state.need
         ranks, n_doomed = _ordered_candidates(
             index, slot.length, domain[sid], state.used.get(slot.length, 0), rng, doomed
         )
@@ -261,14 +282,22 @@ def _run_episode(
         return Status.TIMEOUT
 
 
-def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
-    """Fill every slot subject to the topic quota.
+def solve(
+    slotset: SlotSet, index: WordIndex, config: SolverConfig, maximize: bool = False
+) -> FillResult:
+    """Fill every slot subject to the topic quota; with ``maximize``, with as
+    many topic answers as possible.
 
     Runs restart episodes until success, exhaustion, or the global limit.
     Episode i shuffles candidates within the topic and filler groups with its
     own random state derived from (seed, i). An episode that exhausts its
     search space ends the solve with ``EXHAUSTED`` only under an unlimited
     time limit; otherwise the engine keeps restarting and ends in ``TIMEOUT``.
+
+    With ``maximize``, each episode searches for more topic answers than the
+    best fill so far holds. An exhausted episode proves that fill optimal and
+    ends the solve; otherwise it ends at the global limit. Either way the best
+    fill found is returned as ``SUCCESS``.
     """
     total = len(slotset.slots)
     deterministic = config.node_budget is not None
@@ -277,16 +306,19 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     virtual_ms = 0.0
     nodes_total = 0
     episodes = 0
+    need = quota_needed(total, config.target_rate)
+    best = None
 
     while True:
         rng = Random(derive_seed(config.seed, "episode", episodes))
-        state = FillState()
+        state = FillState(need=need, best=best)
         if deterministic:
             deadline = None
         else:
             episode_start = time.monotonic()
             deadline = min(started + config.time_limit, episode_start + config.restart_interval)
-        outcome = _run_episode(slotset, index, config, state, rng, deadline)
+        outcome = _run_episode(slotset, index, config, state, rng, deadline, maximize)
+        need, best = state.need, state.best
         episodes += 1
         nodes_total += state.nodes_expanded
         if deterministic:
@@ -298,9 +330,10 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
             )
         if outcome is Status.SUCCESS:
             break
-        if outcome is Status.EXHAUSTED and max_episodes is None:
-            # With no episode cap (an unlimited time budget), restarting an
-            # already fully explored space would spin forever.
+        if outcome is Status.EXHAUSTED and (best is not None or max_episodes is None):
+            # Exhausted above an incumbent, the space proves it optimal. With
+            # no episode cap (an unlimited time budget), restarting an already
+            # fully explored space would spin forever.
             break
         if (max_episodes is not None and episodes >= max_episodes) or (
             not deterministic and time.monotonic() - started >= config.time_limit
@@ -313,60 +346,21 @@ def solve(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResul
     else:
         elapsed_ms = int(round((time.monotonic() - started) * 1000))
 
-    if outcome is Status.SUCCESS:
-        assignment = dict(state.assignment)
-        ratio = state.topic_count / total if total else 1.0
+    if best is not None:
+        outcome = Status.SUCCESS
+        ratio = (need - 1) / total if total else 1.0
     else:
-        assignment = {}
+        best = {}
         ratio = 0.0
     return FillResult(
         status=outcome,
-        assignment=assignment,
+        assignment=best,
         achieved_topic_ratio=ratio,
         elapsed_ms=elapsed_ms,
         restarts=episodes - 1,
         nodes_expanded=nodes_total,
         config=config,
     )
-
-
-RATE_STEP = 10
-
-
-def maximize_topic_rate(slotset: SlotSet, index: WordIndex, config: SolverConfig) -> FillResult:
-    """Anytime topic-rate maximization.
-
-    Solves once with ``config`` as given, then keeps re-solving with the
-    target raised ``RATE_STEP`` points above the achieved ratio until a solve
-    fails or the target passes 100. Returns the best success (or the first
-    failure when nothing succeeds). Later solves get only the wall time left,
-    so the total stays within ``config.time_limit``.
-    """
-    started = time.monotonic()
-    deterministic = config.node_budget is not None
-    best: FillResult | None = None
-    rate = config.target_rate
-    result = solve(slotset, index, config)
-    while result.success:
-        best = result
-        achieved_percent = round(result.achieved_topic_ratio * 100)
-        rate = max(rate, achieved_percent) + RATE_STEP
-        if rate > 100:
-            break
-        if deterministic:
-            sub = replace(config, target_rate=rate)
-        else:
-            remaining = config.time_limit - (time.monotonic() - started)
-            if remaining <= 0:
-                break
-            sub = replace(
-                config,
-                target_rate=rate,
-                time_limit=remaining,
-                restart_interval=min(config.restart_interval, remaining),
-            )
-        result = solve(slotset, index, sub)
-    return result if best is None else best
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ class TestExitCodes:
         )
         assert code == 1
         assert not out.exists()  # failed runs leave no partial output
-        assert "failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == "generation failed: timeout\n"
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_invalid_pattern_is_a_data_error(self, workdir, capsys, command):
@@ -122,6 +122,23 @@ class TestExitCodes:
         assert not out.exists()
         assert capsys.readouterr().err == (
             f"error: {bad}: white cell (0, 0) belongs to no slot of length >= 2\n"
+        )
+
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_malformed_pattern_file_is_named(self, workdir, capsys, command):
+        ragged = workdir / "ragged.txt"
+        ragged.write_text("..\n.\n", encoding="utf-8")
+        words = workdir / "four.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        out = workdir / "never"
+        flag = "--pattern" if command == "generate" else "--patterns"
+        code = run(
+            [command, flag, ragged, "--lexicon", words, "--node-budget", "100", "--out", out]
+        )
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {ragged}: row 1 has length 1, expected 2\n"
         )
 
     @pytest.mark.parametrize(
@@ -524,8 +541,8 @@ class TestPipelineCommands:
         )
         assert code == 0
         doc = json.loads(out.read_text())
-        # the anytime loop raises the target as far as it can; the stored
-        # target is the strongest quota the fill satisfies
+        # the stored target is the requested rate (FillResult.config is the
+        # caller's config), which the maximized fill meets
         assert doc["metadata"]["achieved_topic_ratio"] > 0.0
         assert (
             doc["metadata"]["achieved_topic_ratio"] * 100

@@ -129,6 +129,17 @@ class TestSummarize:
         assert summary.by_target_rate[10].probability == pytest.approx(0.5)
         assert summary.by_target_rate[50].probability == pytest.approx(0.5)
 
+    def test_early_stopped_cells_fail_in_the_black_count_summary(self):
+        # p1 was stopped after failing at rate 10, so its rate-50 cell failed too
+        records = [
+            fake_record(pattern_id="p0", t=10),
+            fake_record(pattern_id="p0", t=50),
+            fake_record(pattern_id="p1", t=10, success=False),
+        ]
+        group = summarize(records).by_black_count[9]
+        assert (group.n_cells, group.successes) == (4, 2)
+        assert group.probability == pytest.approx(0.5)
+
     def test_by_black_count(self):
         records = [
             fake_record(pattern_id="a", n_black=9, time_ms=4000),

@@ -6,21 +6,19 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import UNLIMITED, random_small_instance
+from conftest import UNLIMITED, make_lexicon, random_small_instance
 from topicross import solver as solver_module
-from topicross.grid import extract_slots, parse_pattern
+from topicross.grid import extract_slots, generate_random_patterns, parse_pattern
 from topicross.lexicon import Source, build_index, ingest_records
 from topicross.puzzle import assemble, verify_puzzle
 from topicross.solver import (
     BruteForceResult,
-    FillResult,
     FillState,
     InstanceTooLargeError,
     SolverConfig,
     Status,
     brute_force_solve,
     choose_next_slot,
-    maximize_topic_rate,
     quota_needed,
     solve,
 )
@@ -405,29 +403,26 @@ class TestMaximizeTopicRate:
         records = [(answer, Source.TOPIC, ()) for answer in sorted(lexicon.records)]
         index = build_index(ingest_records(records))
         slotset = extract_slots(parse_pattern("..\n.."))
-        result = maximize_topic_rate(slotset, index, UNLIMITED)
+        result = solve(slotset, index, UNLIMITED, maximize=True)
         assert result.success and result.achieved_topic_ratio == 1.0
 
     def test_filler_only_returns_zero_ratio(self, tiny_lexicon):
         _, index = tiny_lexicon
         slotset = extract_slots(parse_pattern("..\n.."))
-        result = maximize_topic_rate(slotset, index, UNLIMITED)
+        result = solve(slotset, index, UNLIMITED, maximize=True)
         assert result.success and result.achieved_topic_ratio == 0.0
 
-    def test_solves_once_when_no_time_is_left(self, tiny_lexicon, monkeypatch):
-        _, index = tiny_lexicon
+    def test_proven_optimum_ends_the_solve(self):
+        # either 2x2 fill holds three of the topic words AB, CD, AC and the
+        # filler BD, so the first episode finds 3 of 4 and exhausts above it
+        _, index = lex_index(
+            [(w, Source.TOPIC, ()) for w in ("AB", "CD", "AC")] + [("BD", Source.FILLER, ())]
+        )
         slotset = extract_slots(parse_pattern("..\n.."))
-        calls = []
-
-        def counting_solve(*args):
-            calls.append(args)
-            return solve(*args)
-
-        monkeypatch.setattr(solver_module, "solve", counting_solve)
-        config = replace(UNLIMITED, time_limit=1e-9, restart_interval=1e-9)
-        result = maximize_topic_rate(slotset, index, config)
-        assert isinstance(result, FillResult)
-        assert [c[2] for c in calls] == [config]
+        config = SolverConfig(target_rate=0, time_limit=30, restart_interval=10, node_budget=100)
+        result = solve(slotset, index, config, maximize=True)
+        assert (result.status, result.achieved_topic_ratio) == (Status.SUCCESS, 0.75)
+        assert result.restarts == 0
 
     def test_matches_exhaustive_maximum(self):
         rng = random.Random(63)
@@ -439,11 +434,50 @@ class TestMaximizeTopicRate:
             best = _exhaustive_best_ratio(slotset, index)
             if best is None:
                 continue
-            result = maximize_topic_rate(slotset, index, UNLIMITED)
+            result = solve(slotset, index, UNLIMITED, maximize=True)
             assert result.success
             assert result.achieved_topic_ratio == pytest.approx(best)
             compared += 1
         assert compared >= 3
+
+    def test_exhaustive_maximum_on_eleven_slots(self):
+        # 3 of 11 topic answers is 27%; a target raised 10 points to 37%
+        # needs 5 of 11, which skips the maximum of 4
+        topic = "BEEC BBBB DAAB AA CDEE CCBDC ACEC BC CA BEEAB ADCEB CB"
+        filler = (
+            "ADB AADDD DB DADAD CBCB AAB EBBC EABE EBABC AEDCB BCAAB BBCA AE DDEE BA "
+            "EAA BEE AB BAB DAAC"
+        )
+        _, index = lex_index(
+            [(w, Source.TOPIC, ()) for w in topic.split()]
+            + [(w, Source.FILLER, ()) for w in filler.split()]
+        )
+        slotset = extract_slots(parse_pattern(".....\n..#..\n.#.#.\n.#...\n#...#"))
+        assert len(slotset.slots) == 11
+        assert quota_needed(11, 36) == 4 and quota_needed(11, 37) == 5
+        assert brute_force_solve(slotset, index, 36).satisfiable
+        assert not brute_force_solve(slotset, index, 37).satisfiable
+        result = solve(slotset, index, UNLIMITED, maximize=True)
+        assert result.status is Status.SUCCESS
+        assert result.achieved_topic_ratio == 4 / 11
+
+    def test_cut_episodes_return_the_incumbent(self):
+        lexicon, index = make_lexicon(300, 3000, seed=5)
+        pattern = generate_random_patterns(5, 5, 4, count=1, seed=1)[0]
+        slotset = extract_slots(pattern)
+        config = SolverConfig(
+            target_rate=20, time_limit=30, restart_interval=10, node_budget=200, seed=1
+        )
+        plain = solve(slotset, index, config)
+        result = solve(slotset, index, config, maximize=True)
+        # all three episodes end at their node budget, none exhausted
+        assert (result.restarts, result.nodes_expanded) == (2, 3 * 200)
+        assert result.status is Status.SUCCESS
+        assert result.achieved_topic_ratio * 100 >= config.target_rate
+        # maximizing repeats the plain search up to its fill, then improves on it
+        assert plain.success and result.achieved_topic_ratio > plain.achieved_topic_ratio
+        puzzle = assemble(pattern, slotset, result, lexicon, clue_seed=1)
+        assert verify_puzzle(puzzle, lexicon, config.target_rate).ok
 
 
 def _exhaustive_best_ratio(slotset, index):

@@ -16,7 +16,6 @@ from .grid import (
 )
 from .lexicon import (
     Lexicon,
-    LexiconEntry,
     NormalizationTable,
     Source,
     WordIndex,
@@ -51,7 +50,6 @@ __all__ = [
     "GazetteerExtractor",
     "GridPattern",
     "Lexicon",
-    "LexiconEntry",
     "NormalizationTable",
     "PreTaggedExtractor",
     "Puzzle",

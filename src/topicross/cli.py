@@ -53,6 +53,14 @@ def _parse_target_rate(value: str) -> int:
     raise argparse.ArgumentTypeError(f"expected an integer in [0, 100], got {value!r}")
 
 
+def _parse_rate_list(value: str) -> tuple[int, ...]:
+    """Comma-separated target rates, each checked as by :func:`_parse_target_rate`."""
+    rates = tuple(_parse_target_rate(part) for part in value.split(",") if part)
+    if not rates:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {value!r}")
+    return rates
+
+
 def _load_json(path: str, convert: Callable[[object], T]) -> T:
     """Read, parse and convert a JSON file; a malformed one is a DataError naming it."""
     try:
@@ -120,7 +128,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     result = pipeline.build_topic_lexicon(
         corpus, extractor, table, args.mask, args.min_clue_chars
     )
-    text = pipeline.write_lexicon_jsonl(result.records)
+    text = lexicon.write_lexicon_jsonl(result.records)
     if args.out:
         atomic_write_text(args.out, text)
     else:
@@ -129,6 +137,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         f"ingest: {result.stats.records} records, {result.stats.clues} clues, "
         f"{result.stats.occurrences} occurrences "
         f"({result.stats.skipped_short_clues} short clues, "
+        f"{result.stats.skipped_short_keywords} short keywords, "
         f"{result.stats.skipped_unmappable_keywords} unmappable keywords skipped)",
         file=sys.stderr,
     )
@@ -213,7 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     pzl = _load_json(args.puzzle, puzzle.deserialize_puzzle)
-    # verify_puzzle looks up only the puzzle's answers, so no other entry is built.
+    # verify_puzzle reads only the records of the puzzle's answers, so no other is kept.
     answers = {entry.answer for entry in pzl.entries}
     lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table), answers)
     report = puzzle.verify_puzzle(pzl, lex, args.target_rate)
@@ -221,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("puzzle OK")
         return EXIT_OK
     for violation in report.violations:
-        print(f"{violation.kind}: {violation.detail}")
+        print(f"{violation.kind}: {violation.message}")
     return EXIT_FAILURE
 
 
@@ -294,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns-per-count", type=int, default=10)
     p.add_argument(
         "--t-values",
-        type=_parse_int_list,
+        type=_parse_rate_list,
         default=(10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
     )
     p.add_argument("--trials", type=int, default=1)
@@ -336,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, solver.InstanceTooLargeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except grid.ExhaustedAttemptsError as exc:

@@ -118,17 +118,20 @@ class SlotSet:
 
 @dataclass(frozen=True)
 class Violation:
+    """A broken rule: ``kind`` names the rule, ``message`` says where and how."""
+
     kind: str
-    cells: tuple[tuple[int, int], ...]
     message: str
 
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The violations found by :func:`validate_pattern` or ``verify_puzzle``."""
+
     violations: tuple[Violation, ...]
 
     @property
-    def is_valid(self) -> bool:
+    def ok(self) -> bool:
         return not self.violations
 
 
@@ -213,27 +216,20 @@ def extract_slots(pattern: GridPattern) -> SlotSet:
 
 def validate_pattern(pattern: GridPattern) -> ValidationReport:
     """Check that every white cell lies in a slot; an empty violation list means valid."""
-    violations = []
     whites = pattern.white_cells()
     if not whites:
-        violations.append(
-            Violation(kind="no-white-cells", cells=(), message="pattern has no white cells")
-        )
-        return ValidationReport(violations=tuple(violations))
-
+        return ValidationReport((Violation("no-white-cells", "pattern has no white cells"),))
     covered = {cell for slot in extract_slots(pattern).slots for cell in slot.cells}
-    uncovered = [cell for cell in whites if cell not in covered]
-    for cell in uncovered:
-        violations.append(
+    return ValidationReport(
+        tuple(
             Violation(
-                kind="isolated-white",
-                cells=(cell,),
-                message=f"white cell {cell} belongs to no slot of length >= "
-                f"{MIN_SLOT_LENGTH}",
+                "isolated-white",
+                f"white cell {cell} belongs to no slot of length >= {MIN_SLOT_LENGTH}",
             )
+            for cell in whites
+            if cell not in covered
         )
-
-    return ValidationReport(violations=tuple(violations))
+    )
 
 
 def generate_random_patterns(
@@ -280,6 +276,6 @@ def generate_random_patterns(
             cells=cells,
             pattern_id=f"{height}x{width}-b{n_black}-{len(out):03d}",
         )
-        if validate_pattern(pattern).is_valid:
+        if validate_pattern(pattern).ok:
             out.append(pattern)
     return out

@@ -12,7 +12,7 @@ import csv
 import io
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -20,21 +20,6 @@ from .grid import GridPattern, extract_slots, generate_random_patterns
 from .lexicon import WordIndex
 from .solver import SolverConfig, solve
 from .util import DataError, atomic_write_text, derive_seed
-
-CSV_HEADER = [
-    "pattern_id",
-    "n_black",
-    "T",
-    "seed",
-    "trial",
-    "status",
-    "success",
-    "time_ms",
-    "restarts",
-    "nodes_expanded",
-    "achieved_topic_ratio",
-]
-
 
 class SchemaMismatchError(DataError):
     pass
@@ -61,6 +46,8 @@ class SweepConfig:
             raise ValueError("t_values and black_counts must be non-empty")
         if self.patterns_per_count < 1 or self.trials_per_cell < 1:
             raise ValueError("patterns_per_count and trials_per_cell must be >= 1")
+        if not all(0 <= t <= 100 for t in self.t_values):
+            raise ValueError(f"t_values must be in [0, 100], got {self.t_values}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +63,16 @@ class ExperimentRecord:
     restarts: int
     nodes_expanded: int
     achieved_topic_ratio: float
+
+
+# The records CSV has one column per field, in field order; only ``t`` is
+# renamed, to the paper's "T". Booleans are written "true"/"false", and each
+# column is read back by the parser of its field's (string) annotation.
+CSV_HEADER = ["T" if f.name == "t" else f.name for f in fields(ExperimentRecord)]
+_CSV_PARSERS = tuple(
+    {"str": str, "int": int, "float": float, "bool": lambda cell: cell == "true"}[f.type]
+    for f in fields(ExperimentRecord)
+)
 
 
 def _sweep_pattern(
@@ -150,6 +147,8 @@ def run_sweep(
     jobs: int = 1,
 ) -> list[ExperimentRecord]:
     """Run the full sweep; records come back sorted by (pattern_id, T, trial)."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     if patterns is None:
         patterns = default_sweep_patterns(config)
     if jobs > 1:
@@ -244,19 +243,7 @@ def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
     writer.writerow(CSV_HEADER)
     for r in records:
         writer.writerow(
-            [
-                r.pattern_id,
-                r.n_black,
-                r.t,
-                r.seed,
-                r.trial,
-                r.status,
-                "true" if r.success else "false",
-                r.time_ms,
-                r.restarts,
-                r.nodes_expanded,
-                repr(r.achieved_topic_ratio),
-            ]
+            ("true" if v else "false") if isinstance(v, bool) else v for v in astuple(r)
         )
     return buf.getvalue()
 
@@ -279,19 +266,7 @@ def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
             if len(row) != len(CSV_HEADER):
                 raise SchemaMismatchError(f"{path}: row has {len(row)} fields")
             records.append(
-                ExperimentRecord(
-                    pattern_id=row[0],
-                    n_black=int(row[1]),
-                    t=int(row[2]),
-                    seed=int(row[3]),
-                    trial=int(row[4]),
-                    status=row[5],
-                    success=row[6] == "true",
-                    time_ms=int(row[7]),
-                    restarts=int(row[8]),
-                    nodes_expanded=int(row[9]),
-                    achieved_topic_ratio=float(row[10]),
-                )
+                ExperimentRecord(*(parse(cell) for parse, cell in zip(_CSV_PARSERS, row)))
             )
     return records
 

@@ -3,7 +3,9 @@ and a (length, position, letter) index of answer-set masks for candidate
 retrieval.
 
 Topic words come from the target corpus, filler words from a word list; a word
-in both keeps the topic tag. Entry objects are built only on lookup.
+in both keeps the topic tag. A lexicon record is one plain ``(surface, source,
+clues)`` tuple, and this module owns its JSON Lines format: both
+:func:`write_lexicon_jsonl` and :func:`read_lexicon_file` live here.
 """
 
 from __future__ import annotations
@@ -174,20 +176,6 @@ def normalize(surface: str, table: NormalizationTable = DEFAULT_TABLE) -> str:
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    answer: str
-    surface: str
-    source: Source
-    clues: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(self.answer) < 2:
-            raise ValueError(f"answer {self.answer!r} shorter than 2 characters")
-        if self.answer.split() != [self.answer]:
-            raise ValueError(f"answer {self.answer!r} contains whitespace")
-
-
-@dataclass(frozen=True)
 class IngestStats:
     topic: int
     filler: int
@@ -196,21 +184,18 @@ class IngestStats:
     collisions: int = 0
 
 
-# One lexicon record: (surface, source, clues).
+# One lexicon record: (surface, source, clues). A plain tuple, because a
+# load builds one per line of every lexicon file.
 Record = tuple[str, Source, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
 class Lexicon:
     """At most one record per answer: ``records[answer]`` is its merged
-    ``(surface, source, clues)``. :meth:`lookup` builds the entry on demand."""
+    ``(surface, source, clues)``, and ``records.get(answer)`` is the lookup."""
 
     records: dict[str, Record]
     stats: IngestStats
-
-    def lookup(self, answer: str) -> LexiconEntry | None:
-        record = self.records.get(answer)
-        return None if record is None else LexiconEntry(answer, *record)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -219,6 +204,19 @@ class Lexicon:
 def read_word_list(path: str | Path) -> list[str]:
     """The stripped non-blank lines of a plain word list, ``#`` comment lines dropped."""
     return [line for _, line in numbered_lines(path) if not line.startswith("#")]
+
+
+def write_lexicon_jsonl(records: Iterable[Record]) -> str:
+    """Serialize records to the JSON Lines format :func:`read_lexicon_file` reads."""
+    return "".join(
+        json.dumps(
+            {"surface": surface, "source": source.value, "clues": list(clues)},
+            ensure_ascii=False,
+            sort_keys=True,
+        )
+        + "\n"
+        for surface, source, clues in records
+    )
 
 
 def read_lexicon_file(path: str | Path) -> list[Record]:

@@ -3,6 +3,10 @@
 Keyword detection is pluggable. The built-in extractors either pass through
 offsets supplied by an external tagger or run a longest-match gazetteer scan;
 swapping in a real NER tool means implementing one ``find`` method.
+
+The output is a list of topic lexicon records, the ``(surface, source,
+clues)`` tuples of :mod:`topicross.lexicon`: ``ingest_records`` takes it as
+is, and ``write_lexicon_jsonl`` writes it to a lexicon file.
 """
 
 from __future__ import annotations
@@ -15,7 +19,15 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
-from .lexicon import NormalizationTable, DEFAULT_TABLE, normalize
+from .lexicon import (
+    DEFAULT_TABLE,
+    NormalizationTable,
+    Record,
+    Source,
+    TooShortError,
+    UnmappableCharacterError,
+    normalize,
+)
 from .util import DataError, json_field, longest_first_pattern, numbered_lines
 
 DEFAULT_MASK = "[Answer]"
@@ -45,14 +57,6 @@ class KeywordOccurrence:
     char_start: int
     char_end: int
     sentence_span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class ClueRecord:
-    answer: str
-    surface: str
-    clue_text: str
-    source_doc: str
 
 
 class KeywordFinder(Protocol):
@@ -151,13 +155,15 @@ def generate_clue(
     mask_token: str = DEFAULT_MASK,
     table: NormalizationTable = DEFAULT_TABLE,
     min_chars: int = DEFAULT_MIN_CLUE_CHARS,
-) -> ClueRecord:
+) -> tuple[str, str]:
     """Mask the occurrence's sentence into a fill-in-the-blank clue.
 
+    Returns ``(answer, clue_text)``, the answer being the normalized surface.
     Every occurrence of the surface inside the sentence is masked, so the
     answer can never leak into its own clue. Raises
     :class:`SentenceTooShortError` when the remaining sentence (mask removed)
-    is shorter than ``min_chars``.
+    is shorter than ``min_chars``, and :func:`normalize`'s errors when the
+    surface has no usable answer.
     """
     start, end = occ.sentence_span
     sentence = doc.text[start:end].strip()
@@ -171,12 +177,7 @@ def generate_clue(
         raise SentenceTooShortError(
             f"masked sentence keeps only {len(remainder)} characters (< {min_chars})"
         )
-    return ClueRecord(
-        answer=normalize(occ.surface, table),
-        surface=occ.surface,
-        clue_text=clue_text,
-        source_doc=occ.doc_id,
-    )
+    return normalize(occ.surface, table), clue_text
 
 
 @dataclass(frozen=True)
@@ -186,12 +187,13 @@ class PipelineStats:
     records: int
     clues: int
     skipped_short_clues: int
+    skipped_short_keywords: int
     skipped_unmappable_keywords: int
 
 
 @dataclass(frozen=True)
 class PipelineResult:
-    records: list[dict]
+    records: list[Record]
     stats: PipelineStats
 
 
@@ -206,46 +208,51 @@ def build_topic_lexicon(
 
     Each record carries every usable clue for the keyword across the corpus,
     sorted by (doc_id, offset); duplicate clue texts collapse. Records are
-    sorted by answer, so output is byte-stable across runs.
+    sorted by answer, so output is byte-stable across runs. An occurrence
+    whose clue is too short, or whose keyword normalizes to fewer than two
+    characters or (under a 'reject' table) hits an unmappable character, is
+    skipped and counted.
     """
     if not corpus:
         raise DataError("corpus must be non-empty")
     per_answer: dict[str, list[tuple[str, int, str, str]]] = {}
     occurrences = 0
-    skipped_short = 0
+    skipped_short_clues = 0
+    skipped_short_keywords = 0
     skipped_unmappable = 0
     for doc in corpus:
         for occ in extract_keywords(doc, extractor):
             occurrences += 1
             try:
-                clue = generate_clue(doc, occ, mask_token, table, min_chars)
+                answer, clue_text = generate_clue(doc, occ, mask_token, table, min_chars)
             except SentenceTooShortError:
-                skipped_short += 1
+                skipped_short_clues += 1
                 continue
-            except ValueError:
+            except TooShortError:
+                skipped_short_keywords += 1
+                continue
+            except UnmappableCharacterError:
                 skipped_unmappable += 1
                 continue
-            per_answer.setdefault(clue.answer, []).append(
-                (occ.doc_id, occ.char_start, occ.surface, clue.clue_text)
+            per_answer.setdefault(answer, []).append(
+                (occ.doc_id, occ.char_start, occ.surface, clue_text)
             )
 
     records = []
     n_clues = 0
     for answer in sorted(per_answer):
         hits = sorted(per_answer[answer], key=lambda h: (h[0], h[1]))
-        clues = []
-        for _, _, _, clue_text in hits:
-            if clue_text not in clues:
-                clues.append(clue_text)
+        clues = tuple(dict.fromkeys(clue_text for *_, clue_text in hits))
         n_clues += len(clues)
-        records.append({"surface": hits[0][2], "source": "topic", "clues": clues})
+        records.append((hits[0][2], Source.TOPIC, clues))
 
     stats = PipelineStats(
         documents=len(corpus),
         occurrences=occurrences,
         records=len(records),
         clues=n_clues,
-        skipped_short_clues=skipped_short,
+        skipped_short_clues=skipped_short_clues,
+        skipped_short_keywords=skipped_short_keywords,
         skipped_unmappable_keywords=skipped_unmappable,
     )
     return PipelineResult(records=records, stats=stats)
@@ -278,8 +285,3 @@ def read_corpus_jsonl(path: str | Path) -> list[Document]:
             )
         docs.append(Document(doc_id=str(doc_id), text=text, pre_tagged_keywords=keywords))
     return docs
-
-
-def write_lexicon_jsonl(records: Sequence[dict]) -> str:
-    """Serialize pipeline records to the lexicon JSON Lines format."""
-    return "".join(json.dumps(r, ensure_ascii=False, sort_keys=True) + "\n" for r in records)

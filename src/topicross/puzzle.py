@@ -11,6 +11,8 @@ from .grid import (
     GridPattern,
     Orientation,
     SlotSet,
+    ValidationReport,
+    Violation,
     extract_slots,
     parse_pattern,
     validate_pattern,
@@ -56,21 +58,6 @@ class Puzzle:
     metadata: PuzzleMetadata
 
 
-@dataclass(frozen=True)
-class PuzzleViolation:
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    violations: tuple[PuzzleViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def assemble(
     pattern: GridPattern,
     slotset: SlotSet,
@@ -80,7 +67,7 @@ def assemble(
 ) -> Puzzle:
     """Pair each assigned answer with one of its clues.
 
-    The clue is drawn uniformly (seeded) from the entry's clue list; entries
+    The clue is drawn uniformly (seeded) from the answer's clue list; answers
     without clues get the "Define: <surface>" placeholder. Requires a
     successful fill.
     """
@@ -92,10 +79,11 @@ def assemble(
         answer = result.assignment.get(slot.slot_id)
         if answer is None:
             raise MissingEntryError(f"slot {slot.slot_id} has no assignment")
-        lex = lexicon.lookup(answer)
-        if lex is None:
+        record = lexicon.records.get(answer)
+        if record is None:
             raise MissingEntryError(f"assigned answer {answer!r} not in lexicon")
-        clue = rng.choice(lex.clues) if lex.clues else PLACEHOLDER_CLUE.format(surface=lex.surface)
+        surface, source, clues = record
+        clue = rng.choice(clues) if clues else PLACEHOLDER_CLUE.format(surface=surface)
         entries.append(
             PuzzleEntry(
                 slot_id=slot.slot_id,
@@ -103,8 +91,8 @@ def assemble(
                 row=slot.start[0],
                 col=slot.start[1],
                 answer=answer,
-                surface=lex.surface,
-                source=lex.source,
+                surface=surface,
+                source=source,
                 clue=clue,
             )
         )
@@ -118,7 +106,7 @@ def assemble(
     return Puzzle(pattern=pattern, entries=tuple(entries), metadata=metadata)
 
 
-def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> VerificationReport:
+def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> ValidationReport:
     """Re-check a puzzle from scratch; violations are data, not errors.
 
     Checks the pattern (every white cell lies in a slot), slot coverage,
@@ -130,37 +118,31 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
     tag alone counts for nothing. Deliberately independent of the solver:
     letters are re-placed cell by cell here.
     """
-    violations = [
-        PuzzleViolation(v.kind, v.message) for v in validate_pattern(puzzle.pattern).violations
-    ]
+    violations = list(validate_pattern(puzzle.pattern).violations)
     slotset = extract_slots(puzzle.pattern)
     slots_by_id = {s.slot_id: s for s in slotset.slots}
 
     seen_ids: set[int] = set()
     for entry in puzzle.entries:
         if entry.slot_id in seen_ids:
-            violations.append(
-                PuzzleViolation("duplicate-slot", f"slot {entry.slot_id} filled twice")
-            )
+            violations.append(Violation("duplicate-slot", f"slot {entry.slot_id} filled twice"))
         seen_ids.add(entry.slot_id)
     for sid in sorted(set(slots_by_id) - seen_ids):
-        violations.append(PuzzleViolation("missing-slot", f"slot {sid} has no entry"))
+        violations.append(Violation("missing-slot", f"slot {sid} has no entry"))
 
     letters: dict[tuple[int, int], str] = {}
     conflicted: set[tuple[int, int]] = set()
     for entry in puzzle.entries:
         slot = slots_by_id.get(entry.slot_id)
         if slot is None:
-            violations.append(
-                PuzzleViolation("unknown-slot", f"slot {entry.slot_id} not in pattern")
-            )
+            violations.append(Violation("unknown-slot", f"slot {entry.slot_id} not in pattern"))
             continue
         if (
             entry.orientation is not slot.orientation
             or (entry.row, entry.col) != slot.start
         ):
             violations.append(
-                PuzzleViolation(
+                Violation(
                     "slot-mismatch",
                     f"slot {entry.slot_id}: entry at ({entry.row}, {entry.col}) "
                     f"{entry.orientation.value} does not match the pattern slot",
@@ -169,7 +151,7 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
             continue
         if len(entry.answer) != slot.length:
             violations.append(
-                PuzzleViolation(
+                Violation(
                     "length-mismatch",
                     f"slot {entry.slot_id}: answer {entry.answer!r} vs length {slot.length}",
                 )
@@ -182,7 +164,7 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
             elif have != entry.answer[i] and cell not in conflicted:
                 conflicted.add(cell)
                 violations.append(
-                    PuzzleViolation(
+                    Violation(
                         "crossing-conflict",
                         f"cell {cell}: {have!r} vs {entry.answer[i]!r}",
                     )
@@ -190,30 +172,31 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
 
     answers = [e.answer for e in puzzle.entries]
     for answer in sorted({a for a in answers if answers.count(a) > 1}):
-        violations.append(PuzzleViolation("duplicate-answer", f"{answer!r} used more than once"))
+        violations.append(Violation("duplicate-answer", f"{answer!r} used more than once"))
 
     topic = 0
     for entry in puzzle.entries:
-        lex = lexicon.lookup(entry.answer)
-        if lex is None:
+        record = lexicon.records.get(entry.answer)
+        if record is None:
             violations.append(
-                PuzzleViolation("not-in-lexicon", f"{entry.answer!r} is not a known answer")
+                Violation("not-in-lexicon", f"{entry.answer!r} is not a known answer")
             )
             continue
-        if entry.source is not lex.source:
+        _, source, _ = record
+        if entry.source is not source:
             violations.append(
-                PuzzleViolation(
+                Violation(
                     "source-mismatch",
                     f"{entry.answer!r} is marked {entry.source.value}, "
-                    f"the lexicon has it as {lex.source.value}",
+                    f"the lexicon has it as {source.value}",
                 )
             )
-        elif lex.source is Source.TOPIC:
+        elif source is Source.TOPIC:
             topic += 1
     total = len(puzzle.entries)
     if total and topic * 100 < target_rate * total:
         violations.append(
-            PuzzleViolation(
+            Violation(
                 "quota",
                 f"{topic}/{total} topic answers is below the {target_rate}% target",
             )
@@ -222,13 +205,13 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Verific
     claimed = puzzle.metadata.achieved_topic_ratio
     if total and not math.isclose(claimed, tagged / total, abs_tol=1e-9):
         violations.append(
-            PuzzleViolation(
+            Violation(
                 "ratio-mismatch",
                 f"metadata claims a topic ratio of {claimed!r}, "
                 f"but {tagged}/{total} entries are tagged topic",
             )
         )
-    return VerificationReport(violations=tuple(violations))
+    return ValidationReport(tuple(violations))
 
 
 def serialize_puzzle(puzzle: Puzzle, include_solution: bool = True) -> dict:

@@ -130,4 +130,4 @@ def tiny_lexicon():
 
 def assert_pattern_valid(pattern: GridPattern):
     report = validate_pattern(pattern)
-    assert report.is_valid, report.violations
+    assert report.ok, report.violations

@@ -315,12 +315,12 @@ def test_criterion_7_pipeline_correctness():
     result = build_topic_lexicon(corpus, GazetteerExtractor(terms))
     expected = {t.upper() for t in used_terms}
     got_answers = set()
-    for record in result.records:
-        got_answers.add(record["surface"].upper())
-        assert record["source"] == "topic"
-        assert record["clues"]
-        for clue in record["clues"]:
-            assert record["surface"] not in clue
+    for surface, source, clues in result.records:
+        got_answers.add(surface.upper())
+        assert source is Source.TOPIC
+        assert clues
+        for clue in clues:
+            assert surface not in clue
             assert DEFAULT_MASK in clue
     assert got_answers == expected
 

@@ -159,6 +159,38 @@ class TestExitCodes:
         pattern_id = id_lines[0][4:].strip()
         assert f"pattern id {pattern_id!r} is used more than once" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rates", ["10,150", "-5,10"])
+    def test_sweep_rejects_rates_outside_0_100(self, workdir, capsys, rates):
+        patterns = workdir / "p.txt"
+        patterns.write_text("..\n..\n", encoding="utf-8")
+        words = workdir / "w.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        out = workdir / "records.csv"
+        for lexicon in (words, workdir / "missing.txt"):
+            code = run(
+                ["sweep", "--patterns", patterns, "--lexicon", lexicon, f"--t-values={rates}",
+                 "--node-budget", "10", "--out", out]
+            )
+            # a usage error, found before any file is read
+            assert code == 2
+            assert not out.exists()
+            assert "--t-values: expected an integer in [0, 100]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_rejects_jobs_below_one(self, workdir, capsys, jobs):
+        patterns = workdir / "p.txt"
+        patterns.write_text("..\n..\n", encoding="utf-8")
+        words = workdir / "w.txt"
+        words.write_text("AB\nCD\nAC\nBD\n", encoding="utf-8")
+        out = workdir / "records.csv"
+        code = run(
+            ["sweep", "--patterns", patterns, "--lexicon", words, "--t-values", "0",
+             "--node-budget", "10", "--jobs", jobs, "--out", out]
+        )
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -372,6 +404,19 @@ class TestPipelineCommands:
                 "--out", workdir / "puzzle.json",
             ]
         ) == 0
+
+    def test_ingest_reports_short_keywords(self, workdir, capsys):
+        corpus = workdir / "corpus.jsonl"
+        doc = {"doc_id": "d", "text": "Plan A and the Atlas rollout both beat their schedule."}
+        corpus.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        terms = workdir / "terms.txt"
+        terms.write_text("A\nAtlas\n", encoding="utf-8")
+        topic = workdir / "topic.jsonl"
+        assert run(["ingest", "--corpus", corpus, "--gazetteer", terms, "--out", topic]) == 0
+        assert capsys.readouterr().err == (
+            "ingest: 1 records, 1 clues, 2 occurrences (0 short clues, 1 short keywords, "
+            "0 unmappable keywords skipped)\n"
+        )
 
     def test_gazetteer_skips_indented_comments(self, workdir, capsys):
         corpus = workdir / "corpus.jsonl"

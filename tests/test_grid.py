@@ -212,16 +212,16 @@ class TestExtractSlots:
 
 class TestValidate:
     def test_2x2_all_white_valid(self):
-        assert validate_pattern(parse_pattern("..\n..")).is_valid
+        assert validate_pattern(parse_pattern("..\n..")).ok
 
     def test_isolated_center_cell(self):
         report = validate_pattern(parse_pattern(".#.\n#.#\n.#."))
-        assert not report.is_valid
-        isolated = [v for v in report.violations if v.kind == "isolated-white"]
-        assert ((1, 1),) in [v.cells for v in isolated]
+        assert not report.ok
+        isolated = [v.message for v in report.violations if v.kind == "isolated-white"]
+        assert "white cell (1, 1) belongs to no slot of length >= 2" in isolated
 
     def test_1x2_valid(self):
-        assert validate_pattern(parse_pattern("..")).is_valid
+        assert validate_pattern(parse_pattern("..")).ok
 
     def test_all_black_invalid(self):
         p = GridPattern(2, 2, ("##", "##"))
@@ -233,7 +233,7 @@ class TestValidate:
         # in a slot, is a valid pattern
         p = parse_pattern("..#\n###\n#..")
         report = validate_pattern(p)
-        assert report.is_valid
+        assert report.ok
         assert not any(v.kind == "disconnected" for v in report.violations)
 
 
@@ -244,7 +244,7 @@ class TestGenerate:
         assert len({p.cells for p in patterns}) == 10
         for p in patterns:
             assert p.n_black == 9
-            assert validate_pattern(p).is_valid
+            assert validate_pattern(p).ok
 
     def test_deterministic(self):
         a = generate_random_patterns(7, 7, 12, 10, seed=42)

@@ -170,6 +170,18 @@ class TestSummarize:
         assert summarize(again) == summarize(records)
 
 
+class TestArguments:
+    @pytest.mark.parametrize("t_values", [(10, 150), (-1,), (101, 50)])
+    def test_rates_outside_0_100_rejected(self, t_values):
+        with pytest.raises(ValueError, match=r"t_values must be in \[0, 100\]"):
+            small_config(t_values=t_values)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, small_index, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_sweep(small_config(), small_index, jobs=jobs)
+
+
 class TestCsv:
     def test_round_trip_many(self, tmp_path):
         records = [

@@ -12,7 +12,6 @@ from topicross.lexicon import (
     SKIP,
     IngestStats,
     Lexicon,
-    LexiconEntry,
     LexiconParseError,
     NormalizationTable,
     Source,
@@ -32,8 +31,8 @@ def lex(records):
 
 
 def all_entries(lexicon):
-    """Every entry of ``lexicon``, sorted by answer."""
-    return [lexicon.lookup(answer) for answer in sorted(lexicon.records)]
+    """Every ``(answer, (surface, source, clues))`` of ``lexicon``, sorted by answer."""
+    return sorted(lexicon.records.items())
 
 
 class TestNormalize:
@@ -90,7 +89,7 @@ class TestNormalize:
         doc = DEFAULT_TABLE.to_json()
         assert NormalizationTable.from_json(doc) == DEFAULT_TABLE
 
-    @pytest.mark.parametrize("value", [" ", "A B", "\t", "A\u3000"])
+    @pytest.mark.parametrize("value", [" ", "A B", "\t", "A\u3000", "\x1c"])
     def test_whitespace_mapping_rejected(self, value):
         # an answer never holds whitespace, because no table maps to any
         with pytest.raises(ValueError, match="mapping of 'a' contains whitespace"):
@@ -170,18 +169,6 @@ class TestNormalizationEquivalence:
         assert_matches_oracle(table, surface)
 
 
-class TestLexiconEntry:
-    @pytest.mark.parametrize("answer", ["A B", "AB ", " AB", "A\tB", "A\u3000B", "A\x1cB"])
-    def test_whitespace_rejected(self, answer):
-        with pytest.raises(ValueError, match="contains whitespace"):
-            LexiconEntry(answer=answer, surface=answer, source=Source.FILLER)
-
-    def test_length_checked_first(self):
-        with pytest.raises(ValueError, match="shorter than 2"):
-            LexiconEntry(answer=" ", surface=" ", source=Source.FILLER)
-        assert LexiconEntry(answer="ÑΩ", surface="ño", source=Source.TOPIC).answer == "ÑΩ"
-
-
 class TestIngest:
     def test_topic_precedence(self):
         lexicon = lex(
@@ -192,9 +179,7 @@ class TestIngest:
             ]
         )
         assert sorted(lexicon.records) == ["ATOLL", "LIBERAL"]
-        entry = lexicon.lookup("LIBERAL")
-        assert entry.source is Source.TOPIC
-        assert entry.clues == ("news clue",)
+        assert lexicon.records["LIBERAL"] == ("liberal", Source.TOPIC, ("news clue",))
         assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
 
     def test_topic_wins_even_when_filler_first(self):
@@ -204,9 +189,7 @@ class TestIngest:
                 ("Liberal", Source.TOPIC, ["news clue"]),
             ]
         )
-        entry = lexicon.lookup("LIBERAL")
-        assert entry.source is Source.TOPIC
-        assert entry.clues == ("dict clue", "news clue")
+        assert lexicon.records["LIBERAL"] == ("Liberal", Source.TOPIC, ("dict clue", "news clue"))
         assert lexicon.stats.collisions == 1
 
     def test_counts_empty_topic(self):
@@ -238,7 +221,7 @@ class TestIngest:
         full = ingest_records(records, table)
         filtered = ingest_records(records, table, answers={"LIBERAL", "ZZ"})
         assert list(filtered.records) == ["LIBERAL"]
-        assert filtered.lookup("LIBERAL") == full.lookup("LIBERAL")
+        assert filtered.records["LIBERAL"] == full.records["LIBERAL"]
         # the skip counters cover every record, the rest only the kept answers
         assert (full.stats.skipped_short, full.stats.skipped_unmappable) == (1, 1)
         assert filtered.stats == replace(full.stats, topic=1, filler=0, collisions=1)
@@ -253,7 +236,7 @@ class TestIngest:
 
 
 def reference_ingest(records, table, answers):
-    """The merge as one ``LexiconEntry`` per answer, rebuilt on each collision."""
+    """The merge as one ``(surface, source, clues)`` per answer, rebuilt on each collision."""
     merged = {}
     short = unmappable = collisions = 0
     for surface, source, clues in records:
@@ -269,15 +252,16 @@ def reference_ingest(records, table, answers):
             continue
         old = merged.get(answer)
         if old is None:
-            merged[answer] = LexiconEntry(answer, surface, source, clues)
+            merged[answer] = (surface, source, clues)
             continue
         collisions += 1
-        union = old.clues + tuple(c for c in clues if c not in old.clues)
-        if old.source is Source.FILLER and source is Source.TOPIC:
-            merged[answer] = LexiconEntry(answer, surface, Source.TOPIC, union)
+        old_surface, old_source, old_clues = old
+        union = old_clues + tuple(c for c in clues if c not in old_clues)
+        if old_source is Source.FILLER and source is Source.TOPIC:
+            merged[answer] = (surface, Source.TOPIC, union)
         else:
-            merged[answer] = replace(old, clues=union)
-    topic = sum(e.source is Source.TOPIC for e in merged.values())
+            merged[answer] = (old_surface, old_source, union)
+    topic = sum(source is Source.TOPIC for _, source, _ in merged.values())
     return merged, IngestStats(topic, len(merged) - topic, short, unmappable, collisions)
 
 
@@ -317,9 +301,9 @@ class TestIngestMatchesReference:
         lexicon = ingest_records(records, table, answers)
         assert lexicon.stats == stats
         assert len(lexicon) == len(expected)
-        for answer, entry in expected.items():
-            assert lexicon.lookup(answer) == entry
-        assert all_entries(lexicon) == [expected[a] for a in sorted(expected)]
+        for answer, record in expected.items():
+            assert lexicon.records.get(answer) == record
+        assert all_entries(lexicon) == sorted(expected.items())
         # the entries equal the reference's, so this checks the index against it
         assert_index_matches_definition(lexicon, build_index(lexicon))
 
@@ -370,23 +354,27 @@ class TestLexiconFiles:
         filler.write_text("liberal\natoll\n", encoding="utf-8")
         lexicon = ingest_lexicon([topic, filler])
         assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
-        assert lexicon.lookup("LIBERAL").source is Source.TOPIC
+        assert lexicon.records["LIBERAL"] == ("liberal", Source.TOPIC, ())
 
 
 def canonical(entries):
     """Answers of ``entries`` in canonical candidate order: topic first, then by answer."""
-    ordered = sorted(entries, key=lambda e: (e.source is not Source.TOPIC, e.answer))
-    return [e.answer for e in ordered]
+    return [
+        answer
+        for _, answer in sorted(
+            (source is not Source.TOPIC, answer) for answer, (_, source, _) in entries
+        )
+    ]
 
 
 def naive_candidates(lexicon, length, fixed, excluded):
     """Brute scan over the whole lexicon; the retrieval oracle."""
     return canonical(
-        e
-        for e in all_entries(lexicon)
-        if len(e.answer) == length
-        and all(e.answer[i] == ch for i, ch in fixed)
-        and e.answer not in excluded
+        (answer, record)
+        for answer, record in all_entries(lexicon)
+        if len(answer) == length
+        and all(answer[i] == ch for i, ch in fixed)
+        and answer not in excluded
     )
 
 
@@ -513,16 +501,16 @@ class TestWordIndex:
 def assert_index_matches_definition(lexicon, index):
     """``by_length``, ``topic_count`` and every mask, checked against their definitions."""
     entries = all_entries(lexicon)
-    lengths = {len(e.answer) for e in entries}
+    lengths = {len(answer) for answer, _ in entries}
     assert set(index.by_length) == lengths
     assert set(index.topic_count) == lengths
     for length in lengths:
-        of_length = [e for e in entries if len(e.answer) == length]
+        of_length = [(answer, record) for answer, record in entries if len(answer) == length]
         assert list(index.by_length[length]) == canonical(of_length)
-        topic = sum(e.source is Source.TOPIC for e in of_length)
+        topic = sum(source is Source.TOPIC for _, (_, source, _) in of_length)
         assert index.topic_count[length] == topic
         assert all(
-            lexicon.lookup(answer).source is (Source.TOPIC if rank < topic else Source.FILLER)
+            lexicon.records[answer][1] is (Source.TOPIC if rank < topic else Source.FILLER)
             for rank, answer in enumerate(index.by_length[length])
         )
     for (length, pos, letter), mask in index.masks.items():

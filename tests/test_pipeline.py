@@ -1,5 +1,7 @@
 """Keyword extraction and fill-in-the-blank clue generation."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +20,13 @@ from topicross.pipeline import (
     generate_clue,
     read_corpus_jsonl,
     sentence_spans,
+)
+from topicross.lexicon import (
+    DEFAULT_TABLE,
+    REJECT,
+    Source,
+    ingest_lexicon,
+    ingest_records,
     write_lexicon_jsonl,
 )
 from topicross.util import DataError
@@ -223,23 +232,22 @@ class TestGenerateClue:
             "Media coverage of the midterm races was divided between liberal and "
             "conservative outlets. Turnout was high.",
         )
-        clue = generate_clue(doc, occ_of(doc, "liberal"))
-        assert clue.clue_text == (
+        assert generate_clue(doc, occ_of(doc, "liberal")) == (
+            "LIBERAL",
             "Media coverage of the midterm races was divided between [Answer] and "
-            "conservative outlets."
+            "conservative outlets.",
         )
-        assert clue.answer == "LIBERAL"
 
     def test_all_occurrences_masked(self):
         doc = Document("d", "AB is AB.")
-        clue = generate_clue(doc, occ_of(doc, "AB"), min_chars=0)
-        assert clue.clue_text == "[Answer] is [Answer]."
-        assert "AB" not in clue.clue_text
+        _, clue_text = generate_clue(doc, occ_of(doc, "AB"), min_chars=0)
+        assert clue_text == "[Answer] is [Answer]."
+        assert "AB" not in clue_text
 
     def test_keyword_at_sentence_start(self):
         doc = Document("d", "Roomba sales rose sharply.")
-        clue = generate_clue(doc, occ_of(doc, "Roomba"))
-        assert clue.clue_text == "[Answer] sales rose sharply."
+        _, clue_text = generate_clue(doc, occ_of(doc, "Roomba"))
+        assert clue_text == "[Answer] sales rose sharply."
 
     def test_sentence_too_short(self):
         doc = Document("d", "Roomba wins.")
@@ -248,17 +256,17 @@ class TestGenerateClue:
 
     def test_only_own_sentence_is_used(self):
         doc = Document("d", "First point here. Roomba results improved a lot.")
-        clue = generate_clue(doc, occ_of(doc, "Roomba"))
-        assert clue.clue_text == "[Answer] results improved a lot."
+        _, clue_text = generate_clue(doc, occ_of(doc, "Roomba"))
+        assert clue_text == "[Answer] results improved a lot."
 
     def test_keyword_spanning_sentence_boundary(self):
         # the crude splitter breaks inside "U.S. media"; the enclosing span
         # must still cover the whole occurrence
         doc = Document("d", "It involved U.S. media outlets heavily.")
         occ = occ_of(doc, "U.S. media")
-        clue = generate_clue(doc, occ)
-        assert DEFAULT_MASK in clue.clue_text
-        assert "U.S. media" not in clue.clue_text
+        _, clue_text = generate_clue(doc, occ)
+        assert DEFAULT_MASK in clue_text
+        assert "U.S. media" not in clue_text
 
 
 class TestBuildTopicLexicon:
@@ -270,10 +278,9 @@ class TestBuildTopicLexicon:
         )
         result = build_topic_lexicon([doc], GazetteerExtractor(["Roomba"]))
         assert len(result.records) == 1
-        record = result.records[0]
-        assert record["surface"] == "Roomba"
-        assert record["source"] == "topic"
-        assert len(record["clues"]) == 2
+        surface, source, clues = result.records[0]
+        assert (surface, source) == ("Roomba", Source.TOPIC)
+        assert len(clues) == 2
 
     def test_no_keywords(self):
         doc = Document("d1", "Nothing matches in this text at all.")
@@ -289,17 +296,54 @@ class TestBuildTopicLexicon:
         assert result.records == []
         assert result.stats.skipped_short_clues == 1
 
+    def test_short_and_unmappable_keywords_are_counted_apart(self):
+        doc = Document("d1", "Plan A and the Nova-X rollout both beat their schedule.")
+        ext = GazetteerExtractor(["A", "Nova-X"])
+        # the default table drops '-', so only "A" is skipped: it is too short
+        result = build_topic_lexicon([doc], ext)
+        assert [surface for surface, _, _ in result.records] == ["Nova-X"]
+        stats = result.stats
+        assert (stats.skipped_short_keywords, stats.skipped_unmappable_keywords) == (1, 0)
+        # under 'reject', '-' has no mapping, so "Nova-X" is unmappable
+        table = replace(DEFAULT_TABLE, drop_policy=REJECT)
+        result = build_topic_lexicon([doc], ext, table)
+        assert result.records == []
+        stats = result.stats
+        assert (stats.skipped_short_keywords, stats.skipped_unmappable_keywords) == (1, 1)
+        assert stats.skipped_short_clues == 0
+
+    def test_other_errors_are_not_counted_as_skips(self):
+        class Misplaced:
+            def find(self, doc):
+                return [("Nova", 4, 9)]  # the text there is "Atlas"
+
+        doc = Document("d1", "The Atlas rollout beat its schedule this spring.")
+        with pytest.raises(OffsetOutOfRangeError, match="not inside its sentence span"):
+            build_topic_lexicon([doc], Misplaced())
+
+    def test_records_ingest_like_their_written_file(self, tmp_path):
+        docs = [
+            Document("a", "The Nova system shipped on time. Café Nova opened its doors today."),
+            Document("b", "Critics called Nova and the Atlas fleet the fastest rollouts."),
+            Document("c", "The Atlas crew said Nova-X was next on the list this year."),
+        ]
+        result = build_topic_lexicon(docs, GazetteerExtractor(["Nova", "Atlas", "Café Nova"]))
+        assert len(result.records) == 3
+        path = tmp_path / "topic.jsonl"
+        path.write_text(write_lexicon_jsonl(result.records), encoding="utf-8")
+        assert ingest_records(result.records) == ingest_lexicon([path])
+
     def test_clues_ordered_by_doc_and_offset(self):
         docs = [
             Document("d2", "Atlas expansion continued in the west region."),
             Document("d1", "Teams praised the Atlas rollout pace overall."),
         ]
         result = build_topic_lexicon(docs, GazetteerExtractor(["Atlas"]))
-        clues = result.records[0]["clues"]
-        assert clues == [
+        _, _, clues = result.records[0]
+        assert clues == (
             "Teams praised the [Answer] rollout pace overall.",
             "[Answer] expansion continued in the west region.",
-        ]
+        )
 
     def test_byte_identical_output(self):
         docs = [
@@ -321,7 +365,7 @@ class TestBuildTopicLexicon:
             for i, name in enumerate(["Atlas", "Nova", "Iris"])
         ]
         result = build_topic_lexicon(docs, GazetteerExtractor(["Atlas", "Nova", "Iris"]))
-        for record in result.records:
-            for clue in record["clues"]:
-                assert record["surface"] not in clue
+        for surface, _, clues in result.records:
+            for clue in clues:
+                assert surface not in clue
                 assert DEFAULT_MASK in clue

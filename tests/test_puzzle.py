@@ -173,7 +173,7 @@ class TestVerify:
         # (0, 0) is white but lies in no slot: the fill never gives it a letter
         _, _, _, lexicon, puzzle = solved_puzzle(".#.\n#..", FOUR_WORDS)
         report = verify_puzzle(puzzle, lexicon, 0)
-        assert [(v.kind, v.detail) for v in report.violations] == [
+        assert [(v.kind, v.message) for v in report.violations] == [
             ("isolated-white", "white cell (0, 0) belongs to no slot of length >= 2")
         ]
         blank = replace(puzzle, pattern=parse_pattern("##"), entries=())
@@ -221,14 +221,14 @@ class TestVerify:
             # ``split`` is a filler in one file and a topic word in the other;
             # ``accented`` is reachable only through normalization.
             first, second = [], []
-            for e in map(lexicon.lookup, sorted(lexicon.records)):
-                if e.answer == split:
+            for answer, (_, source, _) in sorted(lexicon.records.items()):
+                if answer == split:
                     first.append({"surface": split.lower(), "source": "filler", "clues": ["f"]})
                     second.append({"surface": split, "source": "topic", "clues": ["t", "f"]})
                     continue
-                surface = e.answer.translate(accents) if e.answer == accented else e.answer
+                surface = answer.translate(accents) if answer == accented else answer
                 rng.choice((first, second)).append(
-                    {"surface": surface, "source": e.source.value, "clues": ["c"]}
+                    {"surface": surface, "source": source.value, "clues": ["c"]}
                 )
             paths = [tmp_path / "first.jsonl", tmp_path / "second.jsonl"]
             for path, docs in zip(paths, (first, second)):

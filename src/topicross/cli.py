@@ -180,6 +180,21 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Usage errors (exit 2) come before any file is read.
+    height, width = args.size
+    config = harness.SweepConfig(
+        height=height,
+        width=width,
+        t_values=args.t_values,
+        black_counts=args.black_counts,
+        patterns_per_count=args.patterns_per_count,
+        trials_per_cell=args.trials,
+        seed=args.seed,
+        solver=_solver_config(args, target_rate=args.t_values[0]),
+        early_stop=not args.no_early_stop,
+    )
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     patterns = None
     if args.patterns:
         patterns = _read_patterns(args.patterns)
@@ -194,18 +209,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 )
             seen.add(pattern.pattern_id)
     index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
-    height, width = args.size
-    config = harness.SweepConfig(
-        height=height,
-        width=width,
-        t_values=args.t_values,
-        black_counts=args.black_counts,
-        patterns_per_count=args.patterns_per_count,
-        trials_per_cell=args.trials,
-        seed=args.seed,
-        solver=_solver_config(args, target_rate=args.t_values[0]),
-        early_stop=not args.no_early_stop,
-    )
     records = harness.run_sweep(config, index, patterns=patterns, jobs=args.jobs)
     harness.write_records_csv(records, args.out)
     if args.summary or args.svg:

@@ -65,12 +65,18 @@ class ExperimentRecord:
     achieved_topic_ratio: float
 
 
+def _parse_bool(cell: str) -> bool:
+    if cell not in ("true", "false"):
+        raise ValueError(cell)
+    return cell == "true"
+
+
 # The records CSV has one column per field, in field order; only ``t`` is
 # renamed, to the paper's "T". Booleans are written "true"/"false", and each
 # column is read back by the parser of its field's (string) annotation.
 CSV_HEADER = ["T" if f.name == "t" else f.name for f in fields(ExperimentRecord)]
 _CSV_PARSERS = tuple(
-    {"str": str, "int": int, "float": float, "bool": lambda cell: cell == "true"}[f.type]
+    {"str": str, "int": int, "float": float, "bool": _parse_bool}[f.type]
     for f in fields(ExperimentRecord)
 )
 
@@ -262,12 +268,18 @@ def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
         if header != CSV_HEADER:
             raise SchemaMismatchError(f"{path}: header {header!r} != {CSV_HEADER!r}")
         records = []
-        for row in reader:
+        for number, row in enumerate(reader, start=1):
             if len(row) != len(CSV_HEADER):
-                raise SchemaMismatchError(f"{path}: row has {len(row)} fields")
-            records.append(
-                ExperimentRecord(*(parse(cell) for parse, cell in zip(_CSV_PARSERS, row)))
-            )
+                raise SchemaMismatchError(f"{path}: row {number} has {len(row)} fields")
+            values = []
+            for column, parse, cell in zip(CSV_HEADER, _CSV_PARSERS, row):
+                try:
+                    values.append(parse(cell))
+                except ValueError:
+                    raise SchemaMismatchError(
+                        f"{path}: row {number}, column {column}: unreadable value {cell!r}"
+                    ) from None
+            records.append(ExperimentRecord(*values))
     return records
 
 

@@ -17,9 +17,15 @@ The search state keeps each slot's domain, the mask of the answers that fit
 the letters already in its cells, by forward checking (Haralick & Elliott
 1980): following the grid's crossing links, a placement narrows the domain
 of every unassigned slot it crosses, and undo restores the saved masks.
-When no filler could still meet the quota, only the topic candidates are
-decoded and placed; the fillers are counted as expanded nodes without being
-decoded or placed, so node counts are unchanged.
+The quota bound is cardinality reasoning on an ``among`` constraint
+(Beldiceanu & Contejean 1994). An open slot is *topic-capable* when an unused
+topic answer fits its domain; no fill below a node holds more topic answers
+than it has placed plus its capable slots, so a node where that sum falls
+short of the quota is cut. The bound is sound because a domain only shrinks
+along a branch. At zero slack, where the sum equals the quota, a filler in a
+capable slot would leave the quota unreachable: such a slot's fillers are
+counted as expanded nodes without being decoded or placed, and only its topic
+candidates are searched.
 
 ``brute_force_solve`` is an independent exhaustive oracle for small instances;
 it shares no search code with the main engine.
@@ -95,8 +101,10 @@ class FillState:
     """Mutable search state for one episode.
 
     The placed letters live in the domains: an unassigned slot's domain holds
-    only the answers that agree with every assigned slot crossing it. ``need``
-    and ``best`` carry over from episode to episode.
+    only the answers that agree with every assigned slot crossing it. At every
+    node the search expands, ``topic_count`` plus the open slots that can still
+    take an unused topic answer is at least ``need``. ``need`` and ``best``
+    carry over from episode to episode.
     """
 
     need: int = 0  # topic answers a complete fill must hold
@@ -129,37 +137,53 @@ def quota_needed(total_slots: int, target_rate: int) -> int:
     return -(-total_slots * target_rate // 100)
 
 
-def choose_next_slot(state: FillState, slotset: SlotSet, index: WordIndex) -> int:
-    """Most-constrained unassigned slot: the fewest unused answers in its domain.
+def choose_next_slot(
+    state: FillState, slotset: SlotSet, index: WordIndex
+) -> tuple[int, bool] | None:
+    """Most-constrained unassigned slot and whether its fillers are doomed, or
+    ``None`` when the quota is out of reach.
 
-    Ties go to the slot crossing more unassigned slots, then to the lowest
-    slot_id.
+    An open slot is *capable* when an unused topic answer fits its domain.
+    When ``topic_count + capable < need`` no fill below this node meets the
+    quota: ``None``. At zero slack (equality) a filler in a capable slot is
+    doomed, so such a slot counts only its topic candidates, and the flag is
+    set when the picked slot is capable. Every other slot counts the unused
+    answers in its domain. The fewest count wins; ties go to the slot crossing
+    more unassigned slots, then to the lowest slot_id.
     """
     assigned = state.assignment
     used = state.used
     domain = state.domain
-    best_count = None
-    tied: list[int] = []
+    topic_ends = index.topic_count
+    capable = 0
+    rows = []  # (slot_id, candidate count, mask of unused topic candidates)
     for slot in slotset.slots:
-        if slot.slot_id in assigned:
+        sid = slot.slot_id
+        if sid in assigned:
             continue
-        count = index.count_matches(domain[slot.slot_id], used.get(slot.length, 0))
-        if best_count is None or count < best_count:
-            best_count = count
-            tied = [slot.slot_id]
-        elif count == best_count:
-            tied.append(slot.slot_id)
-    if best_count is None:
+        excluded = used.get(slot.length, 0)
+        topic = domain[sid] & ~excluded & ((1 << topic_ends.get(slot.length, 0)) - 1)
+        if topic:
+            capable += 1
+        rows.append((sid, index.count_matches(domain[sid], excluded), topic))
+    if not rows:
         raise ValueError("no unassigned slots")
-    if len(tied) == 1:
-        return tied[0]
+    slack = state.topic_count + capable - state.need
+    if slack < 0:
+        return None
+    if not slack:
+        rows = [(sid, topic.bit_count() if topic else count, topic) for sid, count, topic in rows]
 
     def degree(sid: int) -> int:
         # Each across/down pair shares at most one cell, so counting links
         # counts the unassigned slots this one crosses.
         return sum(link is not None and link[0] not in assigned for link in slotset.crossings[sid])
 
-    return min(tied, key=lambda sid: (-degree(sid), sid))
+    best_count = min(count for _, count, _ in rows)
+    sid, _, topic = min(
+        (row for row in rows if row[1] == best_count), key=lambda row: (-degree(row[0]), row[0])
+    )
+    return sid, not slack and topic != 0
 
 
 def _ordered_candidates(
@@ -179,11 +203,6 @@ def _ordered_candidates(
         topic = index.candidates(domain & topic_mask, excluded)
         n_filler = (domain & ~(excluded | topic_mask)).bit_count()
         rng.shuffle(topic)
-        # random.shuffle draws one number per position, and the draws depend
-        # only on the list's length. Shuffling a placeholder as long as the
-        # fillers takes the same draws as shuffling the fillers, so the random
-        # stream, the node counts and every seeded output stay as they were.
-        rng.shuffle([0] * n_filler)
         return topic, n_filler
     cands = index.candidates(domain, excluded)
     split = bisect_left(cands, topic_end)
@@ -220,24 +239,26 @@ def _run_episode(
     masks = index.masks
     state.domain = domain = [index.domain(slot.length) for slot in slots]
 
-    # Invariant: topic_count + open slots >= need while need stays put. It
-    # holds at the root, a topic placement keeps it, and no filler that breaks
-    # it is placed; only a complete fill in maximize mode raises need.
+    # The capable bound: choose_next_slot refutes a node where topic_count
+    # plus the capable open slots falls short of need. Domains only shrink
+    # along a branch, so no fill below a refuted node meets need; a complete
+    # fill in maximize mode raises need, and the same test cuts against it.
     def dfs() -> bool:
-        open_slots = total - len(state.assignment)
-        if state.topic_count + open_slots < state.need:
-            return False
-        if not open_slots:
+        if len(state.assignment) == total:
+            if state.topic_count < state.need:
+                return False
             state.best = dict(state.assignment)
             state.need = state.topic_count + 1
             return not maximize
-        sid = choose_next_slot(state, slotset, index)
+        picked = choose_next_slot(state, slotset, index)
+        if picked is None:
+            return False
+        # With doomed set a filler here would leave the quota unreachable:
+        # search only the topic candidates, then count each filler as a node.
+        sid, doomed = picked
         slot = slots[sid]
         pool = index.by_length.get(slot.length, ())
         topic_end = index.topic_count.get(slot.length, 0)
-        # A filler here would leave the quota unreachable: search only the
-        # topic candidates, then count each filler as an expanded node.
-        doomed = state.topic_count + open_slots - 1 < state.need
         ranks, n_doomed = _ordered_candidates(
             index, slot.length, domain[sid], state.used.get(slot.length, 0), rng, doomed
         )

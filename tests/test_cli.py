@@ -192,6 +192,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
 
     @pytest.mark.parametrize(
+        "flag, message",
+        [("--jobs", "jobs must be >= 1"), ("--trials", "trials_per_cell must be >= 1")],
+    )
+    def test_sweep_run_arguments_checked_before_any_file_is_read(
+        self, workdir, capsys, flag, message
+    ):
+        out = workdir / "records.csv"
+        code = run(
+            ["sweep", "--patterns", workdir / "missing.txt", "--lexicon",
+             workdir / "missing.txt", "--node-budget", "10", flag, "0", "--out", out]
+        )
+        # a usage error (2), not the missing files' data error (3)
+        assert code == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             pytest.param(

@@ -206,6 +206,37 @@ class TestCsv:
         with pytest.raises(SchemaMismatchError):
             read_records_csv(path)
 
+    @pytest.mark.parametrize("column, cell", [("T", "x"), ("nodes_expanded", "1.5")])
+    def test_non_integer_cell_rejected(self, tmp_path, column, cell):
+        path = tmp_path / "bad.csv"
+        write_records_csv([fake_record(), fake_record(trial=1)], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        row = lines[2].split(",")
+        row[CSV_HEADER.index(column)] = cell
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaMismatchError, match=f"bad.csv: row 2, column {column}: "):
+            read_records_csv(path)
+
+    def test_non_float_cell_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_records_csv([fake_record()], path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(",0.5\n", ",half\n"), encoding="utf-8")
+        with pytest.raises(
+            SchemaMismatchError, match="row 1, column achieved_topic_ratio: unreadable value 'half'"
+        ):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("cell", ["yes", "True", "1", ""])
+    def test_success_cell_must_be_true_or_false(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        write_records_csv([fake_record()], path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(",success,true,", f",success,{cell},"), encoding="utf-8")
+        with pytest.raises(SchemaMismatchError, match="row 1, column success: "):
+            read_records_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("", encoding="utf-8")

@@ -77,28 +77,32 @@ class TestChooseNextSlot:
         slotset = extract_slots(parse_pattern("..#.."))
         state = state_with(slotset, index, letters={(0, 0): "Z"})
         assert index.count_matches(index.domain(2, [(0, "Z")])) == 1
-        assert choose_next_slot(state, slotset, index) == 0
+        sid, _ = choose_next_slot(state, slotset, index)
+        assert sid == 0
         # and with the letter on the other slot instead, the pick follows
         state = state_with(slotset, index, letters={(0, 3): "Z"})
-        assert choose_next_slot(state, slotset, index) == 1
+        sid, _ = choose_next_slot(state, slotset, index)
+        assert sid == 1
         # with AB..CD (ranks 0-5) placed elsewhere both slots keep only ZA,
         # and the tie goes to the lowest id
         state.used[2] = 0b111111
         assert index.count_matches(index.domain(2), state.used[2]) == 1
-        assert choose_next_slot(state, slotset, index) == 0
+        sid, _ = choose_next_slot(state, slotset, index)
+        assert sid == 0
 
     def test_uniform_tie_breaks_to_lowest_id(self):
         _, index = lex_index(
             [(w, Source.FILLER, ()) for w in ["AB", "BA", "AA", "BB"]]
         )
         slotset = extract_slots(parse_pattern("..\n.."))
-        assert choose_next_slot(state_with(slotset, index), slotset, index) == 0
+        sid, _ = choose_next_slot(state_with(slotset, index), slotset, index)
+        assert sid == 0
 
     def test_dead_slot_forces_backtrack(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "BA"]])
         slotset = extract_slots(parse_pattern("..\n.."))
         state = state_with(slotset, index, letters={(0, 0): "Z"})  # no word starts with Z
-        chosen = choose_next_slot(state, slotset, index)
+        chosen, _ = choose_next_slot(state, slotset, index)
         slot = slotset.slots[chosen]
         assert (0, 0) in slot.cells
         fixed = [(i, "Z") for i, cell in enumerate(slot.cells) if cell == (0, 0)]
@@ -113,11 +117,55 @@ class TestChooseNextSlot:
         slotset = extract_slots(parse_pattern("...\n...\n..#"))
         assert [s.length for s in slotset.slots] == [3, 3, 2, 3, 3, 2]
         # slots 0, 1, 3 and 4 each cross three others; the lowest id wins
-        assert choose_next_slot(state_with(slotset, index), slotset, index) == 0
+        sid, _ = choose_next_slot(state_with(slotset, index), slotset, index)
+        assert sid == 0
         # with slot 5 assigned (no letters placed) rows 0 and 1 cross two
         # unassigned slots and columns 3 and 4 still cross three
         state = state_with(slotset, index, assignment={5: None})
-        assert choose_next_slot(state, slotset, index) == 3
+        sid, _ = choose_next_slot(state, slotset, index)
+        assert sid == 3
+
+    def test_too_few_capable_slots_refute_the_node(self):
+        # Both slots are open, enough for a quota of two, but slot 1 starts
+        # with Z and the only Z answer is a filler: one slot is capable.
+        _, index = lex_index(
+            [("AB", Source.TOPIC, ()), ("CD", Source.TOPIC, ()), ("ZA", Source.FILLER, ())]
+        )
+        slotset = extract_slots(parse_pattern("..#.."))
+        state = state_with(slotset, index, letters={(0, 3): "Z"})
+        state.need = 2
+        assert choose_next_slot(state, slotset, index) is None
+        # with a quota of one the capable slot 0 gives slack, so nothing is doomed
+        state.need = 1
+        assert choose_next_slot(state, slotset, index) == (1, False)
+        # with AB and CD placed elsewhere (ranks 0 and 1 used) no slot is
+        # capable, so even a quota of one is out of reach
+        state.used[2] = 0b11
+        assert choose_next_slot(state, slotset, index) is None
+
+    def test_zero_slack_counts_topic_candidates_and_dooms_fillers(self):
+        # slot 0 (Q.) holds only the fillers QA and QB, so it is not capable;
+        # slot 1 (A.) holds the topics AB and AC; slot 2 (Z.) holds the topic
+        # ZA and the fillers ZB, ZC and ZD.
+        _, index = lex_index(
+            [(w, Source.TOPIC, ()) for w in ("AB", "AC", "ZA")]
+            + [(w, Source.FILLER, ()) for w in ("QA", "QB", "ZB", "ZC", "ZD")]
+        )
+        slotset = extract_slots(parse_pattern("..#..#.."))
+        letters = {(0, 0): "Q", (0, 3): "A", (0, 6): "Z"}
+        state = state_with(slotset, index, letters=letters)
+        assert [index.count_matches(d) for d in state.domain] == [2, 2, 4]
+        # with slack every slot counts all its candidates: Q. and A. tie
+        state.need = 1
+        assert choose_next_slot(state, slotset, index) == (0, False)
+        # at zero slack the capable slots count only their topics (2 and 1):
+        # Z. wins, and its fillers are doomed
+        state.need = 2
+        assert choose_next_slot(state, slotset, index) == (2, True)
+        # with QB used Q. ties Z. at one candidate and wins on its id; it is
+        # not capable, so its filler is not doomed
+        state.used[2] = 1 << index.by_length[2].index("QB")
+        assert choose_next_slot(state, slotset, index) == (0, False)
 
 
 class TestForwardChecking:
@@ -173,7 +221,12 @@ class TestForwardChecking:
         assert full[: len(topic)] == topic and all(r < n_topic for r in topic)
         assert n_filler == len(full) - len(topic) > 1
         assert all(r >= n_topic for r in full[len(topic):])
-        assert doomed_rng.getstate() == full_rng.getstate()
+        # the doomed path draws only the shuffle of the topic list
+        topic_rng = random.Random(seed)
+        shuffled = sorted(topic)
+        topic_rng.shuffle(shuffled)
+        assert shuffled == topic
+        assert doomed_rng.getstate() == topic_rng.getstate()
 
 
 class TestSolveSmall:
@@ -184,6 +237,15 @@ class TestSolveSmall:
         assert result.status is Status.SUCCESS
         assert result.assignment == {0: "AB"}
         assert result.achieved_topic_ratio == 1.0
+
+    def test_filler_only_full_quota_is_refuted_at_the_root(self):
+        # no slot can take a topic answer, so the root is cut before any node
+        _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
+        slotset = extract_slots(parse_pattern("..\n.."))
+        result = solve(slotset, index, replace(UNLIMITED, target_rate=100))
+        assert (result.status, result.nodes_expanded, result.restarts) == (
+            Status.EXHAUSTED, 0, 0
+        )
 
     def test_filler_only_never_meets_full_quota(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
@@ -266,10 +328,14 @@ class TestRestarts:
         [(3, 9, 30_000), (4, 12, 30_000), (8, 12, 15_000)],
     )
     def test_budget_cut_among_quota_doomed_fillers(self, node_budget, nodes, elapsed_ms):
-        # At 100% every candidate is a filler that would leave the quota
-        # unreachable: each counts as a node, and a budget smaller than the
-        # 4-candidate run cuts the episode exactly at the budget.
-        _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
+        # At 100% every slot must take a topic word and only AB is one. Each
+        # episode places AB in slot 0, is cut one node later (no slot left can
+        # take a topic word) and counts slot 0's fillers CD, AC and BD as
+        # doomed nodes: 4 per episode, and a smaller budget cuts the episode
+        # exactly at the budget.
+        _, index = lex_index(
+            [("AB", Source.TOPIC, ())] + [(w, Source.FILLER, ()) for w in ["CD", "AC", "BD"]]
+        )
         slotset = extract_slots(parse_pattern("..\n.."))
         config = SolverConfig(
             target_rate=100, node_budget=node_budget, time_limit=30, restart_interval=10

@@ -5,7 +5,8 @@ candidates before filler, seeded tie shuffling per restart episode. A fill
 succeeds only when every slot is assigned and at least ``target_rate`` percent
 of the placed answers are topic words. Episodes restart on a fixed cadence
 (wall-clock interval, or a node budget in deterministic mode) with fresh
-random states.
+random states. An episode that exhausts its space ends the solve: a new
+random state only reorders the same search.
 
 Maximizing the topic share is branch and bound (Land & Doig 1960) in the same
 search: each complete fill becomes the incumbent, the quota rises to one topic
@@ -62,7 +63,7 @@ class SolverConfig:
     ``target_rate`` is the required minimum percentage of topic answers among
     the placed words. Every episode shuffles candidates within the topic and
     filler groups with its own seeded random state. An exhausted search space
-    is final (``EXHAUSTED``) only under an unlimited ``time_limit``.
+    is final (``EXHAUSTED``).
 
     When ``node_budget`` is set the solver runs in deterministic mode:
     episodes end after that many node expansions instead of after
@@ -139,77 +140,55 @@ def quota_needed(total_slots: int, target_rate: int) -> int:
 
 def choose_next_slot(
     state: FillState, slotset: SlotSet, index: WordIndex
-) -> tuple[int, bool] | None:
-    """Most-constrained unassigned slot and whether its fillers are doomed, or
-    ``None`` when the quota is out of reach.
+) -> tuple[int, int, int] | None:
+    """Most-constrained unassigned slot, the mask of its candidates to search
+    and the number of its unused answers left out of that mask, or ``None``
+    when the quota is out of reach.
 
     An open slot is *capable* when an unused topic answer fits its domain.
     When ``topic_count + capable < need`` no fill below this node meets the
-    quota: ``None``. At zero slack (equality) a filler in a capable slot is
-    doomed, so such a slot counts only its topic candidates, and the flag is
-    set when the picked slot is capable. Every other slot counts the unused
-    answers in its domain. The fewest count wins; ties go to the slot crossing
-    more unassigned slots, then to the lowest slot_id.
+    quota: ``None``. At zero slack (equality) a filler in a capable slot would
+    leave the quota unreachable, so such a slot searches only its unused topic
+    answers. Every other slot searches all the unused answers in its domain.
+    The fewest candidates win; ties go to the slot crossing more unassigned
+    slots, then to the lowest slot_id.
     """
     assigned = state.assignment
     used = state.used
     domain = state.domain
     topic_ends = index.topic_count
     capable = 0
-    rows = []  # (slot_id, candidate count, mask of unused topic candidates)
+    rows = []  # (slot_id, mask of unused answers, mask of unused topic answers)
     for slot in slotset.slots:
         sid = slot.slot_id
         if sid in assigned:
             continue
-        excluded = used.get(slot.length, 0)
-        topic = domain[sid] & ~excluded & ((1 << topic_ends.get(slot.length, 0)) - 1)
+        free = domain[sid] & ~used.get(slot.length, 0)
+        topic = free & ((1 << topic_ends.get(slot.length, 0)) - 1)
         if topic:
             capable += 1
-        rows.append((sid, index.count_matches(domain[sid], excluded), topic))
+        rows.append((sid, free, topic))
     if not rows:
         raise ValueError("no unassigned slots")
     slack = state.topic_count + capable - state.need
     if slack < 0:
         return None
-    if not slack:
-        rows = [(sid, topic.bit_count() if topic else count, topic) for sid, count, topic in rows]
+    picks = []  # (candidate count, slot_id, mask of unused answers, mask to search)
+    for sid, free, topic in rows:
+        search = topic if topic and not slack else free
+        picks.append((index.count_matches(search), sid, free, search))
 
     def degree(sid: int) -> int:
         # Each across/down pair shares at most one cell, so counting links
         # counts the unassigned slots this one crosses.
         return sum(link is not None and link[0] not in assigned for link in slotset.crossings[sid])
 
-    best_count = min(count for _, count, _ in rows)
-    sid, _, topic = min(
-        (row for row in rows if row[1] == best_count), key=lambda row: (-degree(row[0]), row[0])
+    best_count = min(pick[0] for pick in picks)
+    _, sid, free, search = min(
+        (pick for pick in picks if pick[0] == best_count),
+        key=lambda pick: (-degree(pick[1]), pick[1]),
     )
-    return sid, not slack and topic != 0
-
-
-def _ordered_candidates(
-    index: WordIndex, length: int, domain: int, excluded: int, rng: Random, doomed: bool
-) -> tuple[list[int], int]:
-    """Candidate ranks to search, topic words first, and the number of doomed
-    fillers left out of them.
-
-    Each group is reshuffled; topic-first ordering stays intact, only the
-    lexicographic tie-break is randomized. With ``doomed`` set no filler can
-    meet the quota, so only the topic ranks are decoded and the fillers are
-    counted.
-    """
-    topic_end = index.topic_count.get(length, 0)
-    if doomed:
-        topic_mask = (1 << topic_end) - 1
-        topic = index.candidates(domain & topic_mask, excluded)
-        n_filler = (domain & ~(excluded | topic_mask)).bit_count()
-        rng.shuffle(topic)
-        return topic, n_filler
-    cands = index.candidates(domain, excluded)
-    split = bisect_left(cands, topic_end)
-    topic, filler = cands[:split], cands[split:]
-    rng.shuffle(topic)
-    rng.shuffle(filler)
-    return topic + filler, 0
+    return sid, search, index.count_matches(free, search)
 
 
 class _EpisodeCut(Exception):
@@ -253,16 +232,19 @@ def _run_episode(
         picked = choose_next_slot(state, slotset, index)
         if picked is None:
             return False
-        # With doomed set a filler here would leave the quota unreachable:
-        # search only the topic candidates, then count each filler as a node.
-        sid, doomed = picked
+        # Each group is reshuffled: topic-first ordering stays intact, only
+        # the canonical order within a group is randomized. The answers left
+        # out of the search are counted as nodes after it.
+        sid, search, n_left_out = picked
         slot = slots[sid]
         pool = index.by_length.get(slot.length, ())
         topic_end = index.topic_count.get(slot.length, 0)
-        ranks, n_doomed = _ordered_candidates(
-            index, slot.length, domain[sid], state.used.get(slot.length, 0), rng, doomed
-        )
-        for rank in ranks:
+        ranks = index.candidates(search)
+        split = bisect_left(ranks, topic_end)
+        topic, filler = ranks[:split], ranks[split:]
+        rng.shuffle(topic)
+        rng.shuffle(filler)
+        for rank in topic + filler:
             if budget is not None and state.nodes_expanded >= budget:
                 raise _EpisodeCut
             if deadline is not None and time.monotonic() > deadline:
@@ -289,12 +271,11 @@ def _run_episode(
             if rank < topic_end:
                 state.topic_count -= 1
             del state.assignment[sid]
-        if n_doomed:
-            state.nodes_expanded += n_doomed
-            if budget is not None and state.nodes_expanded > budget:
-                # counted one at a time, they would stop at the budget
-                state.nodes_expanded = budget
-                raise _EpisodeCut
+        state.nodes_expanded += n_left_out
+        if budget is not None and state.nodes_expanded > budget:
+            # counted one at a time, they would stop at the budget
+            state.nodes_expanded = budget
+            raise _EpisodeCut
         return False
 
     try:
@@ -312,8 +293,10 @@ def solve(
     Runs restart episodes until success, exhaustion, or the global limit.
     Episode i shuffles candidates within the topic and filler groups with its
     own random state derived from (seed, i). An episode that exhausts its
-    search space ends the solve with ``EXHAUSTED`` only under an unlimited
-    time limit; otherwise the engine keeps restarting and ends in ``TIMEOUT``.
+    search space ends the solve with ``EXHAUSTED``: shuffling only reorders
+    the same sound search, so no episode can find a fill there. Episodes cut
+    by the node budget or the restart interval go on until the global limit,
+    which ends the solve in ``TIMEOUT``.
 
     With ``maximize``, each episode searches for more topic answers than the
     best fill so far holds. An exhausted episode proves that fill optimal and
@@ -344,17 +327,12 @@ def solve(
         nodes_total += state.nodes_expanded
         if deterministic:
             virtual_ms += (
-                config.restart_interval
-                * 1000.0
-                * min(state.nodes_expanded, config.node_budget)
-                / config.node_budget
+                config.restart_interval * 1000.0 * state.nodes_expanded / config.node_budget
             )
-        if outcome is Status.SUCCESS:
-            break
-        if outcome is Status.EXHAUSTED and (best is not None or max_episodes is None):
-            # Exhausted above an incumbent, the space proves it optimal. With
-            # no episode cap (an unlimited time budget), restarting an already
-            # fully explored space would spin forever.
+        if outcome is not Status.TIMEOUT:
+            # An exhausted episode searched the whole space; another episode
+            # only reorders the same search, so no fill meets need (above an
+            # incumbent, the incumbent is optimal).
             break
         if (max_episodes is not None and episodes >= max_episodes) or (
             not deterministic and time.monotonic() - started >= config.time_limit

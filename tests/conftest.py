@@ -16,7 +16,7 @@ from topicross.grid import (
 from topicross.lexicon import Lexicon, Source, WordIndex, build_index, ingest_records
 from topicross.solver import SolverConfig
 
-# No time limit: an exhausted search space ends the solve with EXHAUSTED.
+# No time limit: only an exhausted search space or a fill ends the solve.
 UNLIMITED = SolverConfig(target_rate=0, time_limit=math.inf, restart_interval=math.inf)
 
 # Rough natural-language letter weights so random words cross each other at

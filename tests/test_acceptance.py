@@ -325,7 +325,7 @@ def test_criterion_7_pipeline_correctness():
     assert got_answers == expected
 
 
-@criterion(8, "an infeasible quota times out on the restart schedule, never succeeds")
+@criterion(8, "an infeasible quota ends EXHAUSTED in one episode, never succeeds")
 def test_criterion_8_restart_semantics():
     rng = random.Random(88)
     filler = synthetic_words(rng, 500, FILLER_LENGTHS)
@@ -338,12 +338,12 @@ def test_criterion_8_restart_semantics():
         target_rate=100, time_limit=30, restart_interval=10, seed=4
     )
     result = solve(slotset, index, wall_config)
-    assert result.status is Status.TIMEOUT
-    assert result.restarts <= 3
+    assert result.status is Status.EXHAUSTED
+    assert result.restarts == 0
 
     det_config = replace(wall_config, node_budget=1000)
     result = solve(slotset, index, det_config)
-    assert result.status is Status.TIMEOUT
-    assert result.restarts + 1 == det_config.max_episodes == 3
+    assert result.status is Status.EXHAUSTED
+    assert result.restarts == 0
     again = solve(slotset, index, det_config)
     assert again == result

@@ -104,7 +104,7 @@ class TestExitCodes:
         )
         assert code == 1
         assert not out.exists()  # failed runs leave no partial output
-        assert capsys.readouterr().err == "generation failed: timeout\n"
+        assert capsys.readouterr().err == "generation failed: exhausted\n"
 
     @pytest.mark.parametrize("command", ["generate", "sweep"])
     def test_invalid_pattern_is_a_data_error(self, workdir, capsys, command):

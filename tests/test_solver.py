@@ -77,17 +77,17 @@ class TestChooseNextSlot:
         slotset = extract_slots(parse_pattern("..#.."))
         state = state_with(slotset, index, letters={(0, 0): "Z"})
         assert index.count_matches(index.domain(2, [(0, "Z")])) == 1
-        sid, _ = choose_next_slot(state, slotset, index)
+        sid, *_ = choose_next_slot(state, slotset, index)
         assert sid == 0
         # and with the letter on the other slot instead, the pick follows
         state = state_with(slotset, index, letters={(0, 3): "Z"})
-        sid, _ = choose_next_slot(state, slotset, index)
+        sid, *_ = choose_next_slot(state, slotset, index)
         assert sid == 1
         # with AB..CD (ranks 0-5) placed elsewhere both slots keep only ZA,
         # and the tie goes to the lowest id
         state.used[2] = 0b111111
         assert index.count_matches(index.domain(2), state.used[2]) == 1
-        sid, _ = choose_next_slot(state, slotset, index)
+        sid, *_ = choose_next_slot(state, slotset, index)
         assert sid == 0
 
     def test_uniform_tie_breaks_to_lowest_id(self):
@@ -95,14 +95,14 @@ class TestChooseNextSlot:
             [(w, Source.FILLER, ()) for w in ["AB", "BA", "AA", "BB"]]
         )
         slotset = extract_slots(parse_pattern("..\n.."))
-        sid, _ = choose_next_slot(state_with(slotset, index), slotset, index)
+        sid, *_ = choose_next_slot(state_with(slotset, index), slotset, index)
         assert sid == 0
 
     def test_dead_slot_forces_backtrack(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "BA"]])
         slotset = extract_slots(parse_pattern("..\n.."))
         state = state_with(slotset, index, letters={(0, 0): "Z"})  # no word starts with Z
-        chosen, _ = choose_next_slot(state, slotset, index)
+        chosen, *_ = choose_next_slot(state, slotset, index)
         slot = slotset.slots[chosen]
         assert (0, 0) in slot.cells
         fixed = [(i, "Z") for i, cell in enumerate(slot.cells) if cell == (0, 0)]
@@ -117,12 +117,12 @@ class TestChooseNextSlot:
         slotset = extract_slots(parse_pattern("...\n...\n..#"))
         assert [s.length for s in slotset.slots] == [3, 3, 2, 3, 3, 2]
         # slots 0, 1, 3 and 4 each cross three others; the lowest id wins
-        sid, _ = choose_next_slot(state_with(slotset, index), slotset, index)
+        sid, *_ = choose_next_slot(state_with(slotset, index), slotset, index)
         assert sid == 0
         # with slot 5 assigned (no letters placed) rows 0 and 1 cross two
         # unassigned slots and columns 3 and 4 still cross three
         state = state_with(slotset, index, assignment={5: None})
-        sid, _ = choose_next_slot(state, slotset, index)
+        sid, *_ = choose_next_slot(state, slotset, index)
         assert sid == 3
 
     def test_too_few_capable_slots_refute_the_node(self):
@@ -135,9 +135,10 @@ class TestChooseNextSlot:
         state = state_with(slotset, index, letters={(0, 3): "Z"})
         state.need = 2
         assert choose_next_slot(state, slotset, index) is None
-        # with a quota of one the capable slot 0 gives slack, so nothing is doomed
+        # with a quota of one the capable slot 0 gives slack, so slot 1
+        # searches its one unused answer ZA and leaves nothing out
         state.need = 1
-        assert choose_next_slot(state, slotset, index) == (1, False)
+        assert choose_next_slot(state, slotset, index) == (1, state.domain[1], 0)
         # with AB and CD placed elsewhere (ranks 0 and 1 used) no slot is
         # capable, so even a quota of one is out of reach
         state.used[2] = 0b11
@@ -155,17 +156,41 @@ class TestChooseNextSlot:
         letters = {(0, 0): "Q", (0, 3): "A", (0, 6): "Z"}
         state = state_with(slotset, index, letters=letters)
         assert [index.count_matches(d) for d in state.domain] == [2, 2, 4]
+        bit = {answer: 1 << rank for rank, answer in enumerate(index.by_length[2])}
         # with slack every slot counts all its candidates: Q. and A. tie
         state.need = 1
-        assert choose_next_slot(state, slotset, index) == (0, False)
+        assert choose_next_slot(state, slotset, index) == (0, bit["QA"] | bit["QB"], 0)
         # at zero slack the capable slots count only their topics (2 and 1):
-        # Z. wins, and its fillers are doomed
+        # Z. wins, searches ZA alone and leaves its three fillers out
         state.need = 2
-        assert choose_next_slot(state, slotset, index) == (2, True)
+        assert choose_next_slot(state, slotset, index) == (2, bit["ZA"], 3)
         # with QB used Q. ties Z. at one candidate and wins on its id; it is
-        # not capable, so its filler is not doomed
-        state.used[2] = 1 << index.by_length[2].index("QB")
-        assert choose_next_slot(state, slotset, index) == (0, False)
+        # not capable, so it searches its filler QA and leaves nothing out
+        state.used[2] = bit["QB"]
+        assert choose_next_slot(state, slotset, index) == (0, bit["QA"], 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_slack_search_holds_only_topic_ranks(self, seed):
+        # One open 3-letter slot at a quota of one: it is the only capable
+        # slot, so the node is at zero slack and the slot searches only its
+        # unused topic answers, in canonical order, leaving its fillers out.
+        words = sorted({f"{a}{b}{c}" for a in "ABCD" for b in "ABCD" for c in "ABC"})
+        _, index = lex_index(
+            [(w, Source.TOPIC if i % 3 == 0 else Source.FILLER, ()) for i, w in enumerate(words)]
+        )
+        n_topic = index.topic_count[3]
+        assert 0 < n_topic < len(index.by_length[3])
+        slotset = extract_slots(parse_pattern("..."))
+        pick = random.Random(seed)
+        state = state_with(slotset, index, letters={(0, 1): pick.choice("ABCD")})
+        state.need = 1
+        state.used[3] = used = sum(1 << r for r in pick.sample(range(len(words)), 5))
+        free = index.candidates(state.domain[0], used)
+        sid, search, n_left_out = choose_next_slot(state, slotset, index)
+        ranks = index.candidates(search)
+        assert sid == 0 and ranks
+        assert ranks == [r for r in free if r < n_topic]
+        assert n_left_out == sum(r >= n_topic for r in free) > 1
 
 
 class TestForwardChecking:
@@ -188,7 +213,7 @@ class TestForwardChecking:
 
         monkeypatch.setattr(solver_module, "choose_next_slot", checking_choose)
         rng = random.Random(31)
-        for _ in range(30):
+        for _ in range(50):
             _, slotset, _, index = random_small_instance(rng)
             for rate in (0, 50, 100):
                 config = SolverConfig(
@@ -198,35 +223,6 @@ class TestForwardChecking:
                 solve(slotset, index, config)
         # the sample reaches deep nodes, where crossings have narrowed domains
         assert len(checked) > 400 and max(checked) >= 4 and sum(narrowed) > 400
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_doomed_path_keeps_the_topic_order_and_the_random_stream(self, seed):
-        words = sorted({f"{a}{b}{c}" for a in "ABCD" for b in "ABCD" for c in "ABC"})
-        _, index = lex_index(
-            [(w, Source.TOPIC if i % 3 == 0 else Source.FILLER, ()) for i, w in enumerate(words)]
-        )
-        n_topic = index.topic_count[3]
-        assert 0 < n_topic < len(index.by_length[3])
-        pick = random.Random(seed)
-        domain = index.domain(3, [(1, pick.choice("ABCD"))])
-        excluded = sum(1 << r for r in pick.sample(range(len(words)), 5))
-        full_rng, doomed_rng = random.Random(seed), random.Random(seed)
-        full, n_doomed = solver_module._ordered_candidates(
-            index, 3, domain, excluded, full_rng, doomed=False
-        )
-        topic, n_filler = solver_module._ordered_candidates(
-            index, 3, domain, excluded, doomed_rng, doomed=True
-        )
-        assert n_doomed == 0
-        assert full[: len(topic)] == topic and all(r < n_topic for r in topic)
-        assert n_filler == len(full) - len(topic) > 1
-        assert all(r >= n_topic for r in full[len(topic):])
-        # the doomed path draws only the shuffle of the topic list
-        topic_rng = random.Random(seed)
-        shuffled = sorted(topic)
-        topic_rng.shuffle(shuffled)
-        assert shuffled == topic
-        assert doomed_rng.getstate() == topic_rng.getstate()
 
 
 class TestSolveSmall:
@@ -256,7 +252,7 @@ class TestSolveSmall:
             target_rate=100, node_budget=500, time_limit=30, restart_interval=10
         )
         result = solve(slotset, index, randomized)
-        assert result.status is Status.TIMEOUT
+        assert (result.status, result.restarts) == (Status.EXHAUSTED, 0)
 
     def test_2x2_unique_fill(self, tiny_lexicon):
         _, index = tiny_lexicon
@@ -314,10 +310,14 @@ class TestRestarts:
         assert result.success and result.restarts == 0
 
     def test_deterministic_episode_cap(self):
-        _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
+        # Exhausting this space takes four nodes (see the test below), so a
+        # budget of two cuts every episode and the solve runs to the cap.
+        _, index = lex_index(
+            [("AB", Source.TOPIC, ())] + [(w, Source.FILLER, ()) for w in ["CD", "AC", "BD"]]
+        )
         slotset = extract_slots(parse_pattern("..\n.."))
         config = SolverConfig(
-            target_rate=100, node_budget=1000, time_limit=30, restart_interval=10
+            target_rate=100, node_budget=2, time_limit=30, restart_interval=10
         )
         result = solve(slotset, index, config)
         assert result.status is Status.TIMEOUT
@@ -325,14 +325,15 @@ class TestRestarts:
 
     @pytest.mark.parametrize(
         "node_budget, nodes, elapsed_ms",
-        [(3, 9, 30_000), (4, 12, 30_000), (8, 12, 15_000)],
+        [(3, 9, 30_000), (4, 4, 10_000), (8, 4, 5_000)],
     )
     def test_budget_cut_among_quota_doomed_fillers(self, node_budget, nodes, elapsed_ms):
-        # At 100% every slot must take a topic word and only AB is one. Each
+        # At 100% every slot must take a topic word and only AB is one. An
         # episode places AB in slot 0, is cut one node later (no slot left can
         # take a topic word) and counts slot 0's fillers CD, AC and BD as
-        # doomed nodes: 4 per episode, and a smaller budget cuts the episode
-        # exactly at the budget.
+        # doomed nodes: 4 nodes exhaust the space. A smaller budget cuts every
+        # episode exactly at the budget; a larger one lets the first episode
+        # exhaust the space, which ends the solve.
         _, index = lex_index(
             [("AB", Source.TOPIC, ())] + [(w, Source.FILLER, ()) for w in ["CD", "AC", "BD"]]
         )
@@ -341,17 +342,18 @@ class TestRestarts:
             target_rate=100, node_budget=node_budget, time_limit=30, restart_interval=10
         )
         result = solve(slotset, index, config)
+        status, restarts = (Status.TIMEOUT, 2) if node_budget < 4 else (Status.EXHAUSTED, 0)
         assert (result.status, result.nodes_expanded, result.elapsed_ms, result.restarts) == (
-            Status.TIMEOUT, nodes, elapsed_ms, 2
+            status, nodes, elapsed_ms, restarts
         )
 
     def test_wall_clock_unsat_times_out_quickly(self):
+        # an exhausted space ends a wall-clock solve at once, without restarts
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
         slotset = extract_slots(parse_pattern("..\n.."))
         config = SolverConfig(target_rate=100, time_limit=30, restart_interval=10)
         result = solve(slotset, index, config)
-        assert result.status is Status.TIMEOUT
-        assert result.restarts <= 3
+        assert (result.status, result.restarts) == (Status.EXHAUSTED, 0)
 
     def test_deterministic_mode_reproducible(self):
         rng = random.Random(77)

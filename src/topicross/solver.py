@@ -28,6 +28,15 @@ capable slot would leave the quota unreachable: such a slot's fillers are
 counted as expanded nodes without being decoded or placed, and only its topic
 candidates are searched.
 
+Before the first episode, a root test settles some instances outright. A root
+with fewer capable slots than the quota is refuted. At zero slack every
+capable slot must take a topic answer, so each capable slot's domain becomes
+its topic answers, and arc consistency (AC-3, Mackworth 1977) runs among them
+along the crossings; a domain that empties refutes the root. A refuted root
+ends the solve in ``EXHAUSTED`` with no node, restart or elapsed time. The
+test runs only at the root: propagating inside the search costs more than the
+nodes it saves under a node budget.
+
 ``brute_force_solve`` is an independent exhaustive oracle for small instances;
 it shares no search code with the main engine.
 """
@@ -188,7 +197,50 @@ def choose_next_slot(
         (pick for pick in picks if pick[0] == best_count),
         key=lambda pick: (-degree(pick[1]), pick[1]),
     )
-    return sid, search, index.count_matches(free, search)
+    return sid, search, (free & ~search).bit_count()
+
+
+def _root_refuted(slotset: SlotSet, index: WordIndex, need: int) -> bool:
+    """Whether the root alone proves that no fill holds ``need`` topic answers.
+
+    At the root every answer of a slot's length fits the slot, so a slot is
+    capable exactly when its length has topic answers. Fewer capable slots
+    than ``need`` refute the root. At zero slack every capable slot must take
+    a topic answer (Ginsberg et al. 1990): each one's domain shrinks to its
+    topic answers, and arc consistency (AC-3, Mackworth 1977) runs among them
+    along their crossings. A domain that empties refutes the root. Otherwise
+    nothing is proven, and the search starts from the untouched root.
+    """
+    topic_count = index.topic_count
+    slots = slotset.slots
+    capable = sum(topic_count.get(slot.length, 0) > 0 for slot in slots)
+    if capable != need:
+        return capable < need
+    domain = {
+        slot.slot_id: (1 << topic_count[slot.length]) - 1
+        for slot in slots
+        if topic_count.get(slot.length, 0)
+    }
+    pending = set(domain)  # slots whose crossing slots may lose answers
+    while pending:
+        sid = pending.pop()
+        pool = index.by_length[slots[sid].length]
+        words = [pool[rank] for rank in index.candidates(domain[sid])]
+        for j, link in enumerate(slotset.crossings[sid]):
+            if link is None or link[0] not in domain:
+                continue
+            other, i = link
+            length = slots[other].length
+            supported = 0  # answers of the other slot with a letter ``words`` allow
+            for letter in {word[j] for word in words}:
+                supported |= index.masks.get((length, i, letter), 0)
+            narrowed = domain[other] & supported
+            if narrowed != domain[other]:
+                if not narrowed:
+                    return True
+                domain[other] = narrowed
+                pending.add(other)
+    return False
 
 
 class _EpisodeCut(Exception):
@@ -311,6 +363,16 @@ def solve(
     nodes_total = 0
     episodes = 0
     need = quota_needed(total, config.target_rate)
+    if _root_refuted(slotset, index, need):
+        return FillResult(
+            status=Status.EXHAUSTED,
+            assignment={},
+            achieved_topic_ratio=0.0,
+            elapsed_ms=0,
+            restarts=0,
+            nodes_expanded=0,
+            config=config,
+        )
     best = None
 
     while True:

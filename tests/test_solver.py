@@ -56,6 +56,17 @@ def state_with(slotset, index, assignment=None, letters=None, topic_count=0):
     )
 
 
+def doomed_filler_instance():
+    """The 2x2 grid over the topic words AB, BD and CD and the fillers BB and
+    BC. No fill holds three topic answers, and the root has slack: all four
+    slots can take a topic word."""
+    _, index = lex_index(
+        [(w, Source.TOPIC, ()) for w in ["AB", "BD", "CD"]]
+        + [(w, Source.FILLER, ()) for w in ["BB", "BC"]]
+    )
+    return extract_slots(parse_pattern("..\n..")), index
+
+
 class TestQuota:
     def test_needed_rounds_up(self):
         assert quota_needed(10, 50) == 5
@@ -225,6 +236,41 @@ class TestForwardChecking:
         assert len(checked) > 400 and max(checked) >= 4 and sum(narrowed) > 400
 
 
+class TestRootRefutation:
+    def test_zero_slack_root_refutation_is_sound(self):
+        # Every root the check refutes must have no fill meeting the quota,
+        # and the sample must reach zero-slack roots it refutes.
+        rng = random.Random(0)
+        refuted = 0
+        for _ in range(400):
+            _, slotset, _, index = random_small_instance(rng)
+            capable = sum(index.topic_count.get(s.length, 0) > 0 for s in slotset.slots)
+            for rate in (0, 25, 50, 75, 100):
+                need = quota_needed(len(slotset.slots), rate)
+                if capable == need and solver_module._root_refuted(slotset, index, need):
+                    refuted += 1
+                    assert not brute_force_solve(slotset, index, rate).satisfiable, (
+                        f"refuted a satisfiable root at T={rate} on {slotset.slots}"
+                    )
+        assert refuted >= 100
+
+    def test_refuted_root_costs_nothing(self):
+        # All four slots must take a topic answer and only AB is one: AB in
+        # row 0 puts B where column 1 needs A, so AC-3 empties a domain and
+        # the solve ends before its first episode, on either clock.
+        _, index = lex_index(
+            [("AB", Source.TOPIC, ())] + [(w, Source.FILLER, ()) for w in ["CD", "AC", "BD"]]
+        )
+        slotset = extract_slots(parse_pattern("..\n.."))
+        wall_clock = SolverConfig(target_rate=100, time_limit=30, restart_interval=10)
+        for config in (wall_clock, replace(wall_clock, node_budget=2)):
+            result = solve(slotset, index, config)
+            assert (
+                result.status, result.assignment, result.nodes_expanded, result.restarts,
+                result.elapsed_ms,
+            ) == (Status.EXHAUSTED, {}, 0, 0, 0)
+
+
 class TestSolveSmall:
     def test_single_slot_topic(self):
         _, index = lex_index([("AB", Source.TOPIC, ())])
@@ -310,14 +356,11 @@ class TestRestarts:
         assert result.success and result.restarts == 0
 
     def test_deterministic_episode_cap(self):
-        # Exhausting this space takes four nodes (see the test below), so a
+        # Exhausting this space takes nine nodes (see the test below), so a
         # budget of two cuts every episode and the solve runs to the cap.
-        _, index = lex_index(
-            [("AB", Source.TOPIC, ())] + [(w, Source.FILLER, ()) for w in ["CD", "AC", "BD"]]
-        )
-        slotset = extract_slots(parse_pattern("..\n.."))
+        slotset, index = doomed_filler_instance()
         config = SolverConfig(
-            target_rate=100, node_budget=2, time_limit=30, restart_interval=10
+            target_rate=75, node_budget=2, time_limit=30, restart_interval=10
         )
         result = solve(slotset, index, config)
         assert result.status is Status.TIMEOUT
@@ -325,24 +368,23 @@ class TestRestarts:
 
     @pytest.mark.parametrize(
         "node_budget, nodes, elapsed_ms",
-        [(3, 9, 30_000), (4, 4, 10_000), (8, 4, 5_000)],
+        [(5, 15, 30_000), (9, 9, 10_000), (12, 9, 7_500)],
     )
     def test_budget_cut_among_quota_doomed_fillers(self, node_budget, nodes, elapsed_ms):
-        # At 100% every slot must take a topic word and only AB is one. An
-        # episode places AB in slot 0, is cut one node later (no slot left can
-        # take a topic word) and counts slot 0's fillers CD, AC and BD as
-        # doomed nodes: 4 nodes exhaust the space. A smaller budget cuts every
-        # episode exactly at the budget; a larger one lets the first episode
+        # At 75% three of the four slots must take one of the topic words AB,
+        # BD and CD. Each topic word in slot 0 is a dead end one node deep, so
+        # an episode spends three nodes on them. A filler BB or BC there (one
+        # node each) leaves zero slack: slot 2 (B.) searches BD alone (one
+        # node, refuted) and counts its other filler as a doomed node, so 9
+        # nodes exhaust the space. A budget of 5 cuts every episode while it
+        # counts that filler; a budget of 9 or more lets the first episode
         # exhaust the space, which ends the solve.
-        _, index = lex_index(
-            [("AB", Source.TOPIC, ())] + [(w, Source.FILLER, ()) for w in ["CD", "AC", "BD"]]
-        )
-        slotset = extract_slots(parse_pattern("..\n.."))
+        slotset, index = doomed_filler_instance()
         config = SolverConfig(
-            target_rate=100, node_budget=node_budget, time_limit=30, restart_interval=10
+            target_rate=75, node_budget=node_budget, time_limit=30, restart_interval=10
         )
         result = solve(slotset, index, config)
-        status, restarts = (Status.TIMEOUT, 2) if node_budget < 4 else (Status.EXHAUSTED, 0)
+        status, restarts = (Status.TIMEOUT, 2) if node_budget < 9 else (Status.EXHAUSTED, 0)
         assert (result.status, result.nodes_expanded, result.elapsed_ms, result.restarts) == (
             status, nodes, elapsed_ms, restarts
         )
@@ -378,13 +420,17 @@ class TestRestarts:
         assert result.status is Status.EXHAUSTED
 
     def test_virtual_clock_bounds(self):
-        _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
-        slotset = extract_slots(parse_pattern("..\n.."))
-        config = SolverConfig(
-            target_rate=100, node_budget=1000, time_limit=30, restart_interval=10
-        )
-        result = solve(slotset, index, config)
-        assert result.elapsed_ms <= 30_000 + 10_000
+        # Every episode of a cut solve is charged at most one restart
+        # interval, also when the cut falls among doomed fillers counted in
+        # bulk, so the virtual clock never passes the time limit.
+        slotset, index = doomed_filler_instance()
+        for node_budget in range(1, 12):
+            config = SolverConfig(
+                target_rate=75, node_budget=node_budget, time_limit=30, restart_interval=10
+            )
+            result = solve(slotset, index, config)
+            assert result.nodes_expanded <= node_budget * config.max_episodes
+            assert result.elapsed_ms <= 30_000
 
 
 class TestAgainstOracle:

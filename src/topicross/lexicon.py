@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
-from .util import DataError, json_field, longest_first_pattern, numbered_lines
+from .util import DataError, json_field, longest_first_pattern, numbered_lines, text_lines
 
 
 class Source(Enum):
@@ -203,7 +203,7 @@ class Lexicon:
 
 def read_word_list(path: str | Path) -> list[str]:
     """The stripped non-blank lines of a plain word list, ``#`` comment lines dropped."""
-    return [line for _, line in numbered_lines(path) if not line.startswith("#")]
+    return [word for word in map(str.strip, text_lines(path)) if word and word[0] != "#"]
 
 
 def write_lexicon_jsonl(records: Iterable[Record]) -> str:
@@ -228,7 +228,8 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
     """
     path = Path(path)
     if path.suffix.lower() not in (".jsonl", ".ndjson"):
-        return [(word, Source.FILLER, ()) for word in read_word_list(path)]
+        filler = Source.FILLER
+        return [(word, filler, ()) for word in read_word_list(path)]
     records = []
     for lineno, line in numbered_lines(path):
         try:
@@ -276,10 +277,16 @@ def ingest_records(
     skipped_unmappable = 0
     collisions = 0
     topic = 0
+    # Bound once, outside the per-record loop: a global or enum-member lookup
+    # costs several times a local one.
+    to_answer = normalize
+    get = merged.get
+    topic_tag = Source.TOPIC
+    filler_tag = Source.FILLER
     for record in records:
         surface, source, clues = record
         try:
-            answer = normalize(surface, table)
+            answer = to_answer(surface, table)
         except TooShortError:
             skipped_short += 1
             continue
@@ -288,14 +295,14 @@ def ingest_records(
             continue
         if answers is not None and answer not in answers:
             continue
-        existing = merged.get(answer)
+        existing = get(answer)
         if existing is None:
             merged[answer] = record
-            topic += source is Source.TOPIC
+            topic += source is topic_tag
             continue
         collisions += 1
         kept_surface, kept_source, kept_clues = existing
-        if kept_source is Source.FILLER and source is Source.TOPIC:
+        if kept_source is filler_tag and source is topic_tag:
             kept_surface, kept_source = surface, source
             topic += 1
         clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
@@ -334,8 +341,9 @@ class WordIndex:
     def __init__(self, lexicon: Lexicon):
         topic: dict[int, list[str]] = {}
         filler: dict[int, list[str]] = {}
+        topic_tag = Source.TOPIC
         for answer, (_, source, _) in lexicon.records.items():
-            group = topic if source is Source.TOPIC else filler
+            group = topic if source is topic_tag else filler
             group.setdefault(len(answer), []).append(answer)
         self.by_length: dict[int, tuple[str, ...]] = {}
         self.topic_count: dict[int, int] = {}

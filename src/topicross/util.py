@@ -49,15 +49,25 @@ def json_field(
     return value
 
 
-def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
-    """The stripped non-blank lines of a UTF-8 text file, with 1-based numbers.
+def text_lines(path: str | Path) -> list[str]:
+    """The lines of a UTF-8 text file, a leading byte-order mark dropped.
 
     A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``. ``str.splitlines`` also
     breaks at U+0085, U+2028 and the other Unicode separators, which
     ``json.dumps(..., ensure_ascii=False)`` writes unescaped inside strings.
     """
     # read_text's universal newlines have already turned \r\n and \r into \n.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    return Path(path).read_text(encoding="utf-8-sig").split("\n")
+
+
+def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The stripped non-blank :func:`text_lines` of a file, with 1-based numbers.
+
+    It serves the readers that report a malformed line by its number, the
+    JSON Lines lexicon and corpus readers; a plain word list has no line to
+    report and is read without numbers.
+    """
+    lines = text_lines(path)
     return [(n, stripped) for n, line in enumerate(lines, 1) if (stripped := line.strip())]
 
 

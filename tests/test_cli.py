@@ -446,6 +446,15 @@ class TestPipelineCommands:
         assert [json.loads(line)["surface"] for line in topic.read_text("utf-8").split("\n")
                 if line] == ["Atlas"]
 
+    def test_gazetteer_byte_order_mark(self, workdir, capsys):
+        terms = workdir / "terms.txt"
+        terms.write_text("\ufeffAtlas\nNova\n", encoding="utf-8")
+        topic = workdir / "topic.jsonl"
+        ingest = ["ingest", "--corpus", workdir / "corpus.jsonl", "--gazetteer", terms]
+        assert run([*ingest, "--out", topic]) == 0
+        assert [json.loads(line)["surface"] for line in topic.read_text("utf-8").split("\n")
+                if line] == ["Atlas", "Nova"]
+
     def test_verify_catches_quota_shortfall(self, workdir, capsys):
         topic = workdir / "topic.jsonl"
         run(

@@ -1,7 +1,9 @@
 """Normalization, ingestion/dedup, and the constrained word index."""
 
 import random
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,8 +24,9 @@ from topicross.lexicon import (
     ingest_records,
     normalize,
     read_lexicon_file,
+    read_word_list,
 )
-from topicross.util import DataError
+from topicross.util import DataError, numbered_lines
 
 
 def lex(records):
@@ -347,6 +350,20 @@ class TestLexiconFiles:
             assert err.value.line == 2
             assert str(err.value).startswith(f"{path}:2: ")
 
+    def test_word_list_byte_order_mark(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("\ufeffAB\nCD\n", encoding="utf-8")
+        assert read_word_list(path) == ["AB", "CD"]
+        # Kept as part of the first word, the mark is unmappable under 'reject'.
+        lexicon = ingest_lexicon([path], replace(DEFAULT_TABLE, drop_policy=REJECT))
+        assert sorted(lexicon.records) == ["AB", "CD"]
+        assert lexicon.stats.skipped_unmappable == 0
+
+    def test_jsonl_byte_order_mark(self, tmp_path):
+        path = tmp_path / "topic.jsonl"
+        path.write_text('\ufeff{"surface": "liberal", "source": "topic"}\n', encoding="utf-8")
+        assert read_lexicon_file(path) == [("liberal", Source.TOPIC, ())]
+
     def test_ingest_multiple_files(self, tmp_path):
         topic = tmp_path / "t.jsonl"
         topic.write_text('{"surface": "liberal", "source": "topic"}\n', encoding="utf-8")
@@ -355,6 +372,48 @@ class TestLexiconFiles:
         lexicon = ingest_lexicon([topic, filler])
         assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
         assert lexicon.records["LIBERAL"] == ("liberal", Source.TOPIC, ())
+
+
+def numbered_word_list(path):
+    """The word-list definition by way of :func:`numbered_lines`; the reader's oracle."""
+    return [line for _, line in numbered_lines(path) if not line.startswith("#")]
+
+
+# Lines of letters, '#', spaces and tabs, with U+2028 and U+0085 inside: both
+# are line breaks to str.splitlines but must not split a word-list line.
+WORD_LIST_LINES = st.lists(
+    st.text(st.sampled_from("ab#  \t\u2028\u0085é"), max_size=6), max_size=8
+)
+
+
+class TestWordListReader:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=WORD_LIST_LINES,
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=8, max_size=8),
+        final_newline=st.booleans(),
+        bom=st.booleans(),
+    )
+    @example(
+        lines=["\ufeff", "a\u2028b", " \t", "  # note", "#", "a\u0085b"],
+        ends=["\r\n", "\r", "\n", "\r\n", "\r", "\n", "\n", "\n"],
+        final_newline=False,
+        bom=True,
+    )
+    def test_matches_numbered_lines(self, lines, ends, final_newline, bom):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and not final_newline:
+            text = text[: -len(ends[len(lines) - 1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "words.txt"
+            path.write_bytes((("\ufeff" if bom else "") + text).encode("utf-8"))
+            words = read_word_list(path)
+            assert words == numbered_word_list(path)
+            assert read_lexicon_file(path) == [(word, Source.FILLER, ()) for word in words]
+        for line in lines:
+            word = line.strip()
+            if word and not word.startswith("#"):
+                assert word in words
 
 
 def canonical(entries):

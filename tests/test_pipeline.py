@@ -207,6 +207,11 @@ class TestPreTagged:
         with pytest.raises(DataError, match="got bool"):
             read_corpus_jsonl(path)
 
+    def test_corpus_byte_order_mark(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('\ufeff{"doc_id": "d1", "text": "Atlas."}\n', encoding="utf-8")
+        assert read_corpus_jsonl(path) == [Document("d1", "Atlas.")]
+
 
 class TestSentences:
     def test_spans_cover_text(self):

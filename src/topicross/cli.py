@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import grid, harness, lexicon, pipeline, puzzle, solver
-from .util import DataError, atomic_write_text, derive_seed
+from .util import DataError, atomic_write_text, derive_seed, read_text
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -61,18 +60,19 @@ def _parse_rate_list(value: str) -> tuple[int, ...]:
     return rates
 
 
-def _load_json(path: str, convert: Callable[[object], T]) -> T:
-    """Read, parse and convert a JSON file; a malformed one is a DataError naming it."""
+def _parse_file(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of an input file's text; a malformed file is a DataError naming it."""
+    text = read_text(path)
     try:
-        return convert(json.loads(Path(path).read_text("utf-8")))
-    except (json.JSONDecodeError, UnicodeDecodeError, DataError) as exc:
+        return parse(text)
+    except (json.JSONDecodeError, DataError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def _load_table(path: str | None) -> lexicon.NormalizationTable:
     if path is None:
         return lexicon.DEFAULT_TABLE
-    return _load_json(path, lexicon.NormalizationTable.from_json)
+    return _parse_file(path, lambda text: lexicon.NormalizationTable.from_json(json.loads(text)))
 
 
 def _solver_config(args: argparse.Namespace, target_rate: int) -> solver.SolverConfig:
@@ -94,17 +94,10 @@ def _checked_pattern(pattern: grid.GridPattern, path: str) -> grid.GridPattern:
     return pattern
 
 
-def _read_patterns(path: str) -> list[grid.GridPattern]:
-    """The patterns of a pattern file; a malformed one is a DataError naming it."""
-    try:
-        return grid.parse_pattern_file(Path(path).read_text("utf-8"))
-    except grid.PatternError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
     if args.pattern:
-        return _checked_pattern(_read_patterns(args.pattern)[0], args.pattern)
+        patterns = _parse_file(args.pattern, grid.parse_pattern_file)
+        return _checked_pattern(patterns[0], args.pattern)
     if args.size and args.black is not None:
         height, width = args.size
         return grid.generate_random_patterns(
@@ -114,16 +107,15 @@ def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    # Exactly one of the two, checked before any file is read.
+    pretagged = args.extractor == "pretagged"
+    if pretagged == bool(args.gazetteer):
+        raise ValueError("use --gazetteer FILE or --extractor pretagged, not both or neither")
     table = _load_table(args.table)
-    if args.gazetteer:
-        terms = lexicon.read_word_list(args.gazetteer)
-        extractor: pipeline.KeywordFinder = pipeline.GazetteerExtractor(terms)
-    elif args.extractor == "pretagged":
-        extractor = pipeline.PreTaggedExtractor()
+    if pretagged:
+        extractor: pipeline.KeywordFinder = pipeline.PreTaggedExtractor()
     else:
-        raise ValueError(
-            "gazetteer extraction needs --gazetteer; otherwise use --extractor pretagged"
-        )
+        extractor = pipeline.GazetteerExtractor(lexicon.read_word_list(args.gazetteer))
     corpus = pipeline.read_corpus_jsonl(args.corpus)
     result = pipeline.build_topic_lexicon(
         corpus, extractor, table, args.mask, args.min_clue_chars
@@ -197,7 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     patterns = None
     if args.patterns:
-        patterns = _read_patterns(args.patterns)
+        patterns = _parse_file(args.patterns, grid.parse_pattern_file)
         seen: set[str] = set()
         for pattern in patterns:
             _checked_pattern(pattern, args.patterns)
@@ -224,7 +216,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pzl = _load_json(args.puzzle, puzzle.deserialize_puzzle)
+    pzl = _parse_file(args.puzzle, lambda text: puzzle.deserialize_puzzle(json.loads(text)))
     # verify_puzzle reads only the records of the puzzle's answers, so no other is kept.
     answers = {entry.answer for entry in pzl.entries}
     lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table), answers)
@@ -238,7 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    pzl = _load_json(args.puzzle, puzzle.deserialize_puzzle)
+    pzl = _parse_file(args.puzzle, lambda text: puzzle.deserialize_puzzle(json.loads(text)))
     text = puzzle.render_text(pzl, include_solution=not args.solution_free)
     if args.out:
         atomic_write_text(args.out, text)
@@ -345,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataError, UnicodeDecodeError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:

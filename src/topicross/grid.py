@@ -12,6 +12,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Iterable
 
 from .util import DataError
@@ -163,11 +164,12 @@ def render_pattern(pattern: GridPattern) -> str:
 
 
 def parse_pattern_file(text: str) -> list[GridPattern]:
-    """Parse a multi-pattern file: blocks separated by one blank line."""
-    patterns = []
-    for block in text.split("\n\n"):
-        if block.strip():
-            patterns.append(parse_pattern(block))
+    """Parse a multi-pattern file: blocks separated by runs of whitespace-only lines."""
+    patterns = [
+        parse_pattern("\n".join(rows))
+        for blank, rows in groupby(text.split("\n"), key=lambda line: not line.strip())
+        if not blank
+    ]
     if not patterns:
         raise EmptyPatternError("no patterns in file")
     return patterns

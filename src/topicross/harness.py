@@ -19,7 +19,7 @@ from typing import Sequence
 from .grid import GridPattern, extract_slots, generate_random_patterns
 from .lexicon import WordIndex
 from .solver import SolverConfig, solve
-from .util import DataError, atomic_write_text, derive_seed
+from .util import DataError, atomic_write_text, derive_seed, read_text
 
 class SchemaMismatchError(DataError):
     pass
@@ -259,27 +259,24 @@ def write_records_csv(records: Sequence[ExperimentRecord], path: str | Path) -> 
 
 
 def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError(f"{path}: empty file") from None
-        if header != CSV_HEADER:
-            raise SchemaMismatchError(f"{path}: header {header!r} != {CSV_HEADER!r}")
-        records = []
-        for number, row in enumerate(reader, start=1):
-            if len(row) != len(CSV_HEADER):
-                raise SchemaMismatchError(f"{path}: row {number} has {len(row)} fields")
-            values = []
-            for column, parse, cell in zip(CSV_HEADER, _CSV_PARSERS, row):
-                try:
-                    values.append(parse(cell))
-                except ValueError:
-                    raise SchemaMismatchError(
-                        f"{path}: row {number}, column {column}: unreadable value {cell!r}"
-                    ) from None
-            records.append(ExperimentRecord(*values))
+    rows = list(csv.reader(io.StringIO(read_text(path))))
+    if not rows:
+        raise SchemaMismatchError(f"{path}: empty file")
+    if rows[0] != CSV_HEADER:
+        raise SchemaMismatchError(f"{path}: header {rows[0]!r} != {CSV_HEADER!r}")
+    records = []
+    for number, row in enumerate(rows[1:], start=1):
+        if len(row) != len(CSV_HEADER):
+            raise SchemaMismatchError(f"{path}: row {number} has {len(row)} fields")
+        values = []
+        for column, parse, cell in zip(CSV_HEADER, _CSV_PARSERS, row):
+            try:
+                values.append(parse(cell))
+            except ValueError:
+                raise SchemaMismatchError(
+                    f"{path}: row {number}, column {column}: unreadable value {cell!r}"
+                ) from None
+        records.append(ExperimentRecord(*values))
     return records
 
 

@@ -18,7 +18,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Container, Iterable, Sequence
 
-from .util import DataError, json_field, longest_first_pattern, numbered_lines, text_lines
+from .util import DataError, enum_field, json_field, json_lines, longest_first_pattern, text_lines
 
 
 class Source(Enum):
@@ -37,13 +37,6 @@ class UnmappableCharacterError(ValueError):
 
 class TooShortError(ValueError):
     """Normalization left fewer than two grid characters."""
-
-
-class LexiconParseError(DataError):
-    def __init__(self, path: str, line: int, reason: str):
-        super().__init__(f"{path}:{line}: {reason}")
-        self.path = path
-        self.line = line
 
 
 REJECT = "reject"
@@ -231,26 +224,15 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
         filler = Source.FILLER
         return [(word, filler, ()) for word in read_word_list(path)]
     records = []
-    for lineno, line in numbered_lines(path):
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise LexiconParseError(str(path), lineno, f"bad JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "surface" not in doc:
-            raise LexiconParseError(str(path), lineno, "object with 'surface' required")
-        if not isinstance(doc["surface"], str) or not doc["surface"]:
-            raise LexiconParseError(str(path), lineno, "'surface' must be a non-empty string")
-        source_name = doc.get("source", "filler")
-        try:
-            source = Source(source_name)
-        except ValueError as exc:
-            raise LexiconParseError(
-                str(path), lineno, f"unknown source {source_name!r}"
-            ) from exc
-        clues = doc.get("clues", [])
-        if not isinstance(clues, list) or not all(isinstance(c, str) for c in clues):
-            raise LexiconParseError(str(path), lineno, "'clues' must be a list of strings")
-        records.append((doc["surface"], source, tuple(clues)))
+    for where, doc in json_lines(path):
+        surface = json_field(doc, "surface", str, where)
+        if not surface:
+            raise DataError(f"{where}: 'surface' must be non-empty")
+        source = enum_field(Source, doc, "source", where, Source.FILLER.value)
+        clues = json_field(doc, "clues", list, where, [])
+        if not all(isinstance(clue, str) for clue in clues):
+            raise DataError(f"{where}: every 'clues' item must be a string")
+        records.append((surface, source, tuple(clues)))
     return records
 
 

@@ -11,7 +11,6 @@ is, and ``write_lexicon_jsonl`` writes it to a lexicon file.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from .lexicon import (
     UnmappableCharacterError,
     normalize,
 )
-from .util import DataError, json_field, longest_first_pattern, numbered_lines
+from .util import DataError, json_field, json_lines, longest_first_pattern
 
 DEFAULT_MASK = "[Answer]"
 DEFAULT_TERMINATORS = frozenset(".!?。！？")
@@ -265,12 +264,7 @@ def read_corpus_jsonl(path: str | Path) -> list[Document]:
     object or has a field of the wrong type.
     """
     docs = []
-    for lineno, line in numbered_lines(path):
-        where = f"{path}:{lineno}"
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{where}: bad JSON: {exc}") from exc
+    for where, doc in json_lines(path):
         doc_id = json_field(doc, "doc_id", (str, int), where)
         text = json_field(doc, "text", str, where)
         keywords = json_field(doc, "keywords", list, where, None)

@@ -19,7 +19,7 @@ from .grid import (
 )
 from .lexicon import Lexicon, Source
 from .solver import FillResult
-from .util import DataError, derive_seed, json_field
+from .util import DataError, derive_seed, enum_field, json_field
 
 GENERATOR_VERSION = "0.1.0"
 PLACEHOLDER_CLUE = "Define: {surface}"
@@ -255,14 +255,6 @@ def puzzle_to_json(puzzle: Puzzle, include_solution: bool = True) -> str:
     )
 
 
-def _enum_field(cls, doc: object, key: str, where: str):
-    value = json_field(doc, key, str, where)
-    try:
-        return cls(value)
-    except ValueError:
-        raise DataError(f"{where}: unknown {key} {value!r}") from None
-
-
 def deserialize_puzzle(doc: object) -> Puzzle:
     """Inverse of :func:`serialize_puzzle` for documents that include the solution.
 
@@ -282,12 +274,12 @@ def deserialize_puzzle(doc: object) -> Puzzle:
         entries.append(
             PuzzleEntry(
                 slot_id=json_field(e, "slot_id", int, where),
-                orientation=_enum_field(Orientation, e, "orientation", where),
+                orientation=enum_field(Orientation, e, "orientation", where),
                 row=json_field(e, "row", int, where),
                 col=json_field(e, "col", int, where),
                 answer=answer,
                 surface=json_field(e, "surface", str, where, answer),
-                source=_enum_field(Source, e, "source", where),
+                source=enum_field(Source, e, "source", where),
                 clue=json_field(e, "clue", str, where),
             )
         )

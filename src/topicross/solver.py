@@ -334,6 +334,10 @@ def _run_episode(
         return Status.SUCCESS if dfs() else Status.EXHAUSTED
     except _EpisodeCut:
         return Status.TIMEOUT
+    finally:
+        # dfs reaches itself through its closure cell; breaking that cycle
+        # frees the episode's state now, not at the next cyclic collection.
+        del dfs
 
 
 def solve(

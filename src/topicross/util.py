@@ -1,15 +1,18 @@
-"""Shared helpers: the data-error base class, line reading, the longest-match
-pattern, stable seed derivation and atomic file writes."""
+"""Shared helpers: the data-error base class, JSON field checks, input-file
+reading, the longest-match pattern, stable seed derivation and atomic file
+writes."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import re
 import tempfile
+from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class DataError(ValueError):
@@ -49,26 +52,56 @@ def json_field(
     return value
 
 
+def enum_field(cls: type[Enum], doc: object, key: str, where: str, default: object = _REQUIRED):
+    """The member of ``cls`` whose value is the string ``doc[key]`` (or ``default``).
+
+    Raises :class:`DataError`, prefixed with ``where``, as :func:`json_field`
+    does, and for a value that names no member.
+    """
+    value = json_field(doc, key, str, where, default)
+    try:
+        return cls(value)
+    except ValueError:
+        raise DataError(f"{where}: unknown {key} {value!r}") from None
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 input file, the one place an input file is decoded:
+    a leading byte-order mark is dropped and line ends become ``\\n``. A file
+    that is not UTF-8 raises :class:`DataError` naming it.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.start counts from the decoder's chunk, not from the file's start
+        byte = exc.object[exc.start]
+        raise DataError(f"{path}: not UTF-8 text: byte 0x{byte:02x}, {exc.reason}") from None
+
+
 def text_lines(path: str | Path) -> list[str]:
-    """The lines of a UTF-8 text file, a leading byte-order mark dropped.
+    """The lines of :func:`read_text`.
 
     A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``. ``str.splitlines`` also
     breaks at U+0085, U+2028 and the other Unicode separators, which
     ``json.dumps(..., ensure_ascii=False)`` writes unescaped inside strings.
     """
-    # read_text's universal newlines have already turned \r\n and \r into \n.
-    return Path(path).read_text(encoding="utf-8-sig").split("\n")
+    return read_text(path).split("\n")
 
 
-def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
-    """The stripped non-blank :func:`text_lines` of a file, with 1-based numbers.
+def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
+    """``(where, document)`` for each non-blank line of a JSON Lines file.
 
-    It serves the readers that report a malformed line by its number, the
-    JSON Lines lexicon and corpus readers; a plain word list has no line to
-    report and is read without numbers.
+    ``where`` is ``path:line`` (1-based), the prefix of every error about that
+    line; a line that is not JSON raises :class:`DataError` with it.
     """
-    lines = text_lines(path)
-    return [(n, stripped) for n, line in enumerate(lines, 1) if (stripped := line.strip())]
+    for lineno, line in enumerate(text_lines(path), 1):
+        if stripped := line.strip():
+            where = f"{path}:{lineno}"
+            try:
+                doc = json.loads(stripped)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{where}: bad JSON: {exc}") from None
+            yield where, doc
 
 
 def longest_first_pattern(keys: Iterable[str]) -> re.Pattern[str]:

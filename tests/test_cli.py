@@ -219,6 +219,12 @@ class TestExitCodes:
                 ["ingest", "--corpus", "corpus.jsonl"], "--gazetteer",
                 id="ingest-without-extractor",
             ),
+            # found before the (here missing) corpus is read
+            pytest.param(
+                ["ingest", "--corpus", "missing.jsonl", "--extractor", "pretagged",
+                 "--gazetteer", "terms.txt"], "--gazetteer",
+                id="pretagged-with-gazetteer",
+            ),
         ],
     )
     def test_usage_error_names_the_option(self, workdir, capsys, argv, named):

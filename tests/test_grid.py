@@ -122,6 +122,10 @@ class TestRender:
         patterns = generate_random_patterns(5, 5, 4, 3, seed=9)
         text = render_pattern_file(patterns)
         assert parse_pattern_file(text) == patterns
+        # any run of empty or whitespace-only lines separates two patterns
+        for separator in ("\n\n\n", "\n  \n", "\n\t\n \n"):
+            text = separator.join(render_pattern(p) for p in patterns) + "\n"
+            assert parse_pattern_file(text) == patterns
 
 
 class TestExtractSlots:

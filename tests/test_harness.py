@@ -19,6 +19,7 @@ from topicross.harness import (
     write_records_csv,
 )
 from topicross.solver import SolverConfig
+from topicross.util import DataError
 
 
 def small_config(**overrides):
@@ -236,6 +237,18 @@ class TestCsv:
         path.write_text(text.replace(",success,true,", f",success,{cell},"), encoding="utf-8")
         with pytest.raises(SchemaMismatchError, match="row 1, column success: "):
             read_records_csv(path)
+
+    def test_byte_order_mark_and_non_utf8(self, tmp_path):
+        path = tmp_path / "r.csv"
+        records = [fake_record(), fake_record(trial=1)]
+        text = records_to_csv(records)
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert read_records_csv(path) == records
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8") + b"p\xff")
+        with pytest.raises(DataError, match="not UTF-8") as err:
+            read_records_csv(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert str(err.value).count(str(path)) == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

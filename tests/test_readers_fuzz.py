@@ -1,14 +1,20 @@
-"""Fuzzing the four JSON readers through the CLI: corpus, lexicon, puzzle, table.
+"""Fuzzing the input readers through the CLI: corpus, lexicon, puzzle, table
+and pattern file.
 
 Every field of every record is drawn as absent, valid, or an arbitrary JSON
 value, and the file may be cut off at any character. Whatever is drawn, the
 command must either succeed and write its output, or exit 2 or 3 with a
 one-line ``error:`` message and leave no file behind. It must never raise.
+
+The drawn file starts with a drawn prefix: none, a UTF-8 byte-order mark, or
+a byte that is not UTF-8. The mark changes nothing; the bad byte is a data
+error (exit 3) that names the file.
 """
 
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -129,56 +135,85 @@ TABLE = document(
 )
 
 
-def run_cli(text, argv, verdict=False):
-    """Run ``topicross`` on the drawn file ``bad`` and check the outcome.
+PATTERN = st.lists(
+    st.sampled_from(["..", "#.", ".#", "...", "", "  ", "\t", "id: p", ".x"]), max_size=8
+).flatmap(lambda lines: truncated("\n".join(lines) + "\n"))
 
-    With ``verdict``, exit 1 (the puzzle fails verification) is an outcome
-    too; it reports on stdout only.
+BOM = "\ufeff".encode("utf-8")
+PREFIX = st.sampled_from([b"", BOM, b"\xff"])
+
+
+def run_cli(text, prefix, argv, failure=None):
+    """Run ``topicross`` on the drawn file, ``bad`` or ``bad.jsonl``, and check the outcome.
+
+    The file holds ``prefix`` and then ``text``. Exit 1 is an outcome too when
+    ``failure`` is set, with a stderr that matches that regex in full.
     """
+    drawn = next(a for a in argv if a in ("bad", "bad.jsonl"))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "bad").write_text(text, encoding="utf-8")
-        (tmp / "bad.jsonl").write_text(text, encoding="utf-8")
         (tmp / "terms.txt").write_text("\n".join(TERMS) + "\n", encoding="utf-8")
         (tmp / "filler.txt").write_text(FILLER, encoding="utf-8")
         (tmp / "pattern.txt").write_text("..\n", encoding="utf-8")
         (tmp / "corpus.jsonl").write_text(
             json.dumps({"doc_id": 1, "text": SENTENCES[0]}) + "\n", encoding="utf-8"
         )
-        before = sorted(p.name for p in tmp.iterdir())
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([str(tmp / a) if a in before + ["out"] else a for a in argv])
-        left = sorted(p.name for p in tmp.iterdir())
-        err = err.getvalue()
-        if code == 0 and "out" in argv:
-            assert "out" in left
-            left.remove("out")
-        elif code == 1 and verdict:
-            assert err == ""
-        elif code != 0:
-            assert code in (2, 3), (code, err)
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert left == before
+
+        def run(data):
+            """Exit code, output file bytes, stdout and stderr of one run."""
+            (tmp / drawn).write_bytes(data)
+            before = sorted(p.name for p in tmp.iterdir())
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(tmp / a) if a in before + ["out"] else a for a in argv])
+            left = sorted(p.name for p in tmp.iterdir())
+            err = err.getvalue()
+            written = None
+            if code == 0 and "out" in argv:
+                assert "out" in left
+                left.remove("out")
+                written = (tmp / "out").read_bytes()
+                (tmp / "out").unlink()
+            elif code == 1 and failure is not None:
+                assert re.fullmatch(failure, err), err
+            elif code != 0:
+                assert code in (2, 3), (code, err)
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert left == before
+            return code, written, out.getvalue(), err
+
+        outcome = run(prefix + text.encode("utf-8"))
+        if prefix == BOM:
+            assert outcome == run(text.encode("utf-8"))
+        elif prefix == b"\xff":
+            code, _, _, err = outcome
+            assert code == 3, (code, err)
+            assert err.startswith(f"error: {tmp / drawn}: not UTF-8 text"), err
+            assert err.count(str(tmp / drawn)) == 1, err
 
 
 @FUZZ
-@given(CORPUS)
-def test_corpus_reader(text):
-    run_cli(text, ["ingest", "--corpus", "bad", "--gazetteer", "terms.txt", "--out", "out"])
+@given(CORPUS, PREFIX)
+def test_corpus_reader(text, prefix):
+    run_cli(
+        text, prefix, ["ingest", "--corpus", "bad", "--gazetteer", "terms.txt", "--out", "out"]
+    )
 
 
 @FUZZ
-@given(CORPUS)
-def test_pretagged_corpus_reader(text):
-    run_cli(text, ["ingest", "--corpus", "bad", "--extractor", "pretagged", "--out", "out"])
+@given(CORPUS, PREFIX)
+def test_pretagged_corpus_reader(text, prefix):
+    run_cli(
+        text, prefix, ["ingest", "--corpus", "bad", "--extractor", "pretagged", "--out", "out"]
+    )
 
 
 @FUZZ
-@given(LEXICON)
-def test_lexicon_reader(text):
+@given(LEXICON, PREFIX)
+def test_lexicon_reader(text, prefix):
     run_cli(
         text,
+        prefix,
         [
             "generate", "--pattern", "pattern.txt", "--lexicon", "bad.jsonl", "filler.txt",
             "--target-rate", "0", "--node-budget", "100", "--out", "out",
@@ -187,19 +222,36 @@ def test_lexicon_reader(text):
 
 
 @FUZZ
-@given(PUZZLE)
-def test_puzzle_reader(text):
-    run_cli(text, ["render", "--puzzle", "bad", "--out", "out"])
-    run_cli(text, ["verify", "--puzzle", "bad", "--lexicon", "filler.txt"], verdict=True)
+@given(PUZZLE, PREFIX)
+def test_puzzle_reader(text, prefix):
+    run_cli(text, prefix, ["render", "--puzzle", "bad", "--out", "out"])
+    # a puzzle that fails verification reports on stdout only
+    run_cli(text, prefix, ["verify", "--puzzle", "bad", "--lexicon", "filler.txt"], failure="")
 
 
 @FUZZ
-@given(TABLE)
-def test_table_reader(text):
+@given(TABLE, PREFIX)
+def test_table_reader(text, prefix):
     run_cli(
         text,
+        prefix,
         [
             "ingest", "--corpus", "corpus.jsonl", "--gazetteer", "terms.txt",
             "--table", "bad", "--out", "out",
         ],
+    )
+
+
+@FUZZ
+@given(PATTERN, PREFIX)
+def test_pattern_reader(text, prefix):
+    # a pattern the four two-letter fillers cannot fill fails generation
+    run_cli(
+        text,
+        prefix,
+        [
+            "generate", "--pattern", "bad", "--lexicon", "filler.txt", "--target-rate", "0",
+            "--node-budget", "100", "--out", "out",
+        ],
+        failure=r"generation failed: (exhausted|timeout)\n",
     )

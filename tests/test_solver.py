@@ -1,5 +1,6 @@
 """Backtracking fill: quota math, heuristics, restarts, and oracle agreement."""
 
+import gc
 import math
 import random
 from dataclasses import replace
@@ -346,6 +347,26 @@ class TestSolveSmall:
         for nan in ({"time_limit": math.nan}, {"restart_interval": math.nan}):
             with pytest.raises(ValueError, match="must be positive"):
                 SolverConfig(**nan)
+
+    def test_no_search_state_outlives_solve(self):
+        # With the cyclic collector off, an episode's FillState is freed only
+        # if no reference cycle holds it. Each outcome is covered: a fill, an
+        # exhausted search, and episodes cut by the node budget.
+        slotset, index = doomed_filler_instance()
+        configs = [
+            replace(UNLIMITED, target_rate=0),
+            replace(UNLIMITED, target_rate=75),
+            SolverConfig(target_rate=75, node_budget=2, time_limit=30, restart_interval=10),
+        ]
+        gc.collect()
+        gc.disable()
+        try:
+            outcomes = [solve(slotset, index, config).status for config in configs]
+            alive = [obj for obj in gc.get_objects() if isinstance(obj, FillState)]
+        finally:
+            gc.enable()
+        assert outcomes == [Status.SUCCESS, Status.EXHAUSTED, Status.TIMEOUT]
+        assert alive == []
 
 
 class TestRestarts:

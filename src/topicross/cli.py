@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import grid, harness, lexicon, pipeline, puzzle, solver
@@ -75,6 +76,14 @@ def _load_table(path: str | None) -> lexicon.NormalizationTable:
     return _parse_file(path, lambda text: lexicon.NormalizationTable.from_json(json.loads(text)))
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """An OSError naming the first output path whose directory is missing, so
+    that a run fails before it reads any input, not at its last write."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise OSError(f"{path}: {str(Path(path).parent)!r} is not an existing directory")
+
+
 def _solver_config(args: argparse.Namespace, target_rate: int) -> solver.SolverConfig:
     return solver.SolverConfig(
         target_rate=target_rate,
@@ -107,10 +116,14 @@ def _resolve_pattern(args: argparse.Namespace) -> grid.GridPattern:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    # Exactly one of the two, checked before any file is read.
+    # Usage errors (exit 2) come before any file is read.
     pretagged = args.extractor == "pretagged"
     if pretagged == bool(args.gazetteer):
         raise ValueError("use --gazetteer FILE or --extractor pretagged, not both or neither")
+    if not args.mask.strip():
+        # a blank mask would delete the answer from its clue and leave no gap
+        raise ValueError(f"--mask must hold a non-space character, got {args.mask!r}")
+    _check_output_dirs(args.out)
     table = _load_table(args.table)
     if pretagged:
         extractor: pipeline.KeywordFinder = pipeline.PreTaggedExtractor()
@@ -137,6 +150,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_patterns(args: argparse.Namespace) -> int:
+    _check_output_dirs(args.out)
     height, width = args.size
     patterns = grid.generate_random_patterns(
         height, width, args.black, args.count, seed=args.seed
@@ -150,10 +164,15 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _check_output_dirs(args.out)
     pattern = _resolve_pattern(args)
-    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table))
-    index = lexicon.build_index(lex)
     slotset = grid.extract_slots(pattern)
+    # The search and the clues read only answers of the grid's slot lengths.
+    lengths = {slot.length for slot in slotset.slots}
+    lex = lexicon.ingest_lexicon(
+        args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
+    )
+    index = lexicon.build_index(lex)
     config = _solver_config(args, args.target_rate)
     result = solver.solve(slotset, index, config, maximize=args.max_topic)
     if not result.success:
@@ -187,6 +206,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    _check_output_dirs(args.out, args.summary, args.svg)
     patterns = None
     if args.patterns:
         patterns = _parse_file(args.patterns, grid.parse_pattern_file)
@@ -219,7 +239,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     pzl = _parse_file(args.puzzle, lambda text: puzzle.deserialize_puzzle(json.loads(text)))
     # verify_puzzle reads only the records of the puzzle's answers, so no other is kept.
     answers = {entry.answer for entry in pzl.entries}
-    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table), answers)
+    lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table), answers.__contains__)
     report = puzzle.verify_puzzle(pzl, lex, args.target_rate)
     if report.ok:
         print("puzzle OK")
@@ -230,6 +250,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    _check_output_dirs(args.out)
     pzl = _parse_file(args.puzzle, lambda text: puzzle.deserialize_puzzle(json.loads(text)))
     text = puzzle.render_text(pzl, include_solution=not args.solution_free)
     if args.out:

@@ -6,6 +6,13 @@ Topic words come from the target corpus, filler words from a word list; a word
 in both keeps the topic tag. A lexicon record is one plain ``(surface, source,
 clues)`` tuple, and this module owns its JSON Lines format: both
 :func:`write_lexicon_jsonl` and :func:`read_lexicon_file` live here.
+
+Normalization maps a surface onto the grid alphabet with a
+:class:`NormalizationTable`. A table whose keys are single characters is one
+``str.translate`` map, which also passes alphabet characters through and
+drops or rejects the rest, so a surface costs one ``translate`` call. A table
+with longer keys substitutes through one regex alternation and then checks
+the result against the alphabet.
 """
 
 from __future__ import annotations
@@ -16,9 +23,17 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .util import DataError, enum_field, json_field, json_lines, longest_first_pattern, text_lines
+from .util import (
+    DataError,
+    enum_field,
+    gc_paused,
+    json_field,
+    json_lines,
+    longest_first_pattern,
+    text_lines,
+)
 
 
 class Source(Enum):
@@ -43,6 +58,27 @@ REJECT = "reject"
 SKIP = "skip"
 
 
+class _Translation(dict):
+    """The ``str.translate`` map of a table whose keys are single characters.
+
+    A code point the table lists maps to its value. Any other maps to itself
+    when it is in the alphabet, to ``None`` (dropped) under 'skip', and to an
+    :class:`UnmappableCharacterError` under 'reject'. ``__missing__`` stores
+    nothing, so the map never changes after it is built.
+    """
+
+    __slots__ = ("alphabet", "reject")
+
+    def __missing__(self, code: int) -> str | None:
+        ch = chr(code)
+        if ch in self.alphabet:
+            return ch
+        if self.reject:
+            # translate does not pass the surface; apply adds it
+            raise UnmappableCharacterError(ch, "")
+        return None
+
+
 @dataclass(frozen=True)
 class NormalizationTable:
     """Maps surface code-point sequences onto the grid alphabet.
@@ -54,15 +90,16 @@ class NormalizationTable:
     'skip' silently drops the character. A mapped value that contains
     whitespace raises ``ValueError``.
 
-    When every key is one character, :meth:`apply` substitutes with one
-    ``str.translate`` call; otherwise with one regex alternation of the keys,
-    longest first, which takes the longest key that matches at each position.
+    When every key is one character, :meth:`apply` is one ``str.translate``
+    call whose map also applies the drop policy; otherwise it substitutes with
+    one regex alternation of the keys, longest first, which takes the longest
+    key that matches at each position, and then checks the alphabet.
     """
 
     mappings: dict[str, str]
     drop_policy: str = SKIP
     _alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
-    _codes: dict[int, str] | None = field(init=False, repr=False, compare=False)
+    _codes: _Translation | None = field(init=False, repr=False, compare=False)
     _pattern: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -75,7 +112,9 @@ class NormalizationTable:
         object.__setattr__(self, "_alphabet", alphabet)
         codes = pattern = None
         if all(len(key) <= 1 for key in self.mappings):
-            codes = {ord(key): value for key, value in self.mappings.items() if key}
+            codes = _Translation((ord(key), value) for key, value in self.mappings.items() if key)
+            codes.alphabet = alphabet
+            codes.reject = self.drop_policy == REJECT
         else:
             pattern = longest_first_pattern(self.mappings)
         object.__setattr__(self, "_codes", codes)
@@ -83,9 +122,11 @@ class NormalizationTable:
 
     def apply(self, surface: str) -> str:
         if self._pattern is None:
-            out = surface.translate(self._codes)
-        else:
-            out = self._pattern.sub(lambda match: self.mappings[match.group()], surface)
+            try:
+                return surface.translate(self._codes)
+            except UnmappableCharacterError as exc:
+                raise UnmappableCharacterError(exc.codepoint, surface) from None
+        out = self._pattern.sub(lambda match: self.mappings[match.group()], surface)
         # Every mapped value is in the alphabet and an unmatched character
         # passes through unchanged, so the characters left outside the
         # alphabet are exactly the unmappable ones, in input order.
@@ -239,7 +280,7 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
 def ingest_records(
     records: Iterable[Record],
     table: NormalizationTable = DEFAULT_TABLE,
-    answers: Container[str] | None = None,
+    keep: Callable[[str], bool] | None = None,
 ) -> Lexicon:
     """Normalize and deduplicate records into a Lexicon.
 
@@ -247,9 +288,9 @@ def ingest_records(
     and union the clue lists in first-seen order. Records that fail
     normalization are skipped and counted, never fatal.
 
-    With ``answers`` set, every record is still normalized, but one whose
-    normalized answer is not in ``answers`` is dropped before the merge: each
-    kept answer gets the same record as in an unfiltered load. The
+    With ``keep`` set, every record is still normalized, but one whose
+    normalized answer fails ``keep`` is dropped before the merge: each kept
+    answer gets the same record as in an unfiltered load. The
     ``skipped_short`` and ``skipped_unmappable`` stats then still count every
     record, while ``topic``, ``filler`` and ``collisions`` count only the kept
     answers.
@@ -275,7 +316,7 @@ def ingest_records(
         except UnmappableCharacterError:
             skipped_unmappable += 1
             continue
-        if answers is not None and answer not in answers:
+        if keep is not None and not keep(answer):
             continue
         existing = get(answer)
         if existing is None:
@@ -296,15 +337,19 @@ def ingest_records(
 def ingest_lexicon(
     paths: Sequence[str | Path],
     table: NormalizationTable = DEFAULT_TABLE,
-    answers: Container[str] | None = None,
+    keep: Callable[[str], bool] | None = None,
 ) -> Lexicon:
     """Ingest one or more lexicon files (see :func:`read_lexicon_file`).
 
-    Every file is read and validated in full; ``answers`` is passed to
-    :func:`ingest_records`, which keeps only those answers when it is set.
+    Every file is read and validated in full; ``keep`` is passed to
+    :func:`ingest_records`, which keeps only the answers it accepts when it
+    is set. The records built here hold no reference cycles, so the cyclic
+    collector is paused meanwhile: each collection the load would set off
+    could free nothing.
     """
-    records = [record for path in paths for record in read_lexicon_file(path)]
-    return ingest_records(records, table, answers)
+    with gc_paused():
+        records = [record for path in paths for record in read_lexicon_file(path)]
+        return ingest_records(records, table, keep)
 
 
 class WordIndex:

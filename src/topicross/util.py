@@ -1,15 +1,17 @@
 """Shared helpers: the data-error base class, JSON field checks, input-file
-reading, the longest-match pattern, stable seed derivation and atomic file
-writes."""
+reading, the longest-match pattern, stable seed derivation, a pause of the
+cyclic garbage collector and atomic file writes."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
 import os
 import re
 import tempfile
+from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -127,21 +129,44 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Run the body with the cyclic garbage collector disabled.
+
+    The collector's prior state, enabled or not, is restored on exit, also
+    when the body raises. For a body that allocates many container objects
+    but makes no reference cycles, whose collections would free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to ``path`` via a temp file + rename.
 
     The target never holds partial output: on error the temp file is
-    removed and the destination is untouched.
+    removed and the destination is untouched. An ``OSError`` names ``path``,
+    not the temp file, which the caller never sees.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise

@@ -225,6 +225,11 @@ class TestExitCodes:
                  "--gazetteer", "terms.txt"], "--gazetteer",
                 id="pretagged-with-gazetteer",
             ),
+            pytest.param(
+                ["ingest", "--corpus", "missing.jsonl", "--gazetteer", "terms.txt",
+                 "--mask", ""], "--mask",
+                id="blank-mask",
+            ),
         ],
     )
     def test_usage_error_names_the_option(self, workdir, capsys, argv, named):
@@ -234,6 +239,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert named in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            pytest.param(
+                ["ingest", "--corpus", "missing.jsonl", "--gazetteer", "missing.txt"], "--out",
+                id="ingest",
+            ),
+            pytest.param(["patterns", "--size", "4x4", "--black", "2"], "--out", id="patterns"),
+            pytest.param(
+                ["generate", "--pattern", "missing.txt", "--lexicon", "missing.txt"], "--out",
+                id="generate",
+            ),
+            pytest.param(["sweep", "--lexicon", "missing.txt"], "--out", id="sweep-out"),
+            pytest.param(
+                ["sweep", "--lexicon", "missing.txt", "--out", "s.csv"], "--summary",
+                id="sweep-summary",
+            ),
+            pytest.param(
+                ["sweep", "--lexicon", "missing.txt", "--out", "s.csv"], "--svg", id="sweep-svg"
+            ),
+            pytest.param(["render", "--puzzle", "missing.json"], "--out", id="render"),
+        ],
+    )
+    def test_missing_output_directory_fails_before_any_input_is_read(
+        self, workdir, capsys, argv, flag
+    ):
+        target = workdir / "no-such-dir" / "out"
+        argv = [workdir / a if a.endswith((".txt", ".json", ".jsonl", ".csv")) else a for a in argv]
+        assert run(argv + [flag, target]) == 3
+        err = capsys.readouterr().err
+        # the error names the output path, not a (missing) input file
+        assert err.startswith(f"error: {target}: ") and "missing." not in err
+        assert not (workdir / "s.csv").exists()
 
     @pytest.mark.parametrize("flag", ["--time-limit", "--restart-interval"])
     def test_nan_seconds(self, workdir, capsys, flag):
@@ -653,6 +692,25 @@ class TestDeterminism:
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_generate_ignores_answer_lengths_the_grid_lacks(self, workdir):
+        # Slots of lengths 2 and 3 only; the full lists also hold 4- and
+        # 5-letter words, among them every topic answer.
+        pattern = workdir / "pattern.txt"
+        pattern.write_text("..#\n...\n#..\n", encoding="utf-8")
+        words = (workdir / "filler.txt").read_text(encoding="utf-8").split()
+        short = workdir / "short.txt"
+        short.write_text("".join(w + "\n" for w in words if len(w) <= 3), encoding="utf-8")
+        topic = workdir / "topic.jsonl"
+        assert run(["ingest", "--corpus", workdir / "corpus.jsonl",
+                    "--gazetteer", workdir / "terms.txt", "--out", topic]) == 0
+        args = ["generate", "--pattern", pattern, "--target-rate", "0",
+                "--node-budget", "5000", "--seed", "3"]
+        a, b = workdir / "a.json", workdir / "b.json"
+        assert run(args + ["--lexicon", short, "--out", a]) == 0
+        assert run(args + ["--lexicon", topic, workdir / "filler.txt", "--out", b]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert run(["verify", "--puzzle", a, "--lexicon", topic, workdir / "filler.txt"]) == 0
 
     def test_sweep_byte_identical(self, workdir):
         args = [

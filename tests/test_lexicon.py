@@ -1,5 +1,6 @@
 """Normalization, ingestion/dedup, and the constrained word index."""
 
+import gc
 import random
 import re
 import tempfile
@@ -222,7 +223,7 @@ class TestIngest:
         ]
         table = replace(DEFAULT_TABLE, drop_policy=REJECT)
         full = ingest_records(records, table)
-        filtered = ingest_records(records, table, answers={"LIBERAL", "ZZ"})
+        filtered = ingest_records(records, table, {"LIBERAL", "ZZ"}.__contains__)
         assert list(filtered.records) == ["LIBERAL"]
         assert filtered.records["LIBERAL"] == full.records["LIBERAL"]
         # the skip counters cover every record, the rest only the kept answers
@@ -238,7 +239,7 @@ class TestIngest:
         assert list(lexicon.records) == list(dict.fromkeys(w.upper() for w in words))
 
 
-def reference_ingest(records, table, answers):
+def reference_ingest(records, table, keep):
     """The merge as one ``(surface, source, clues)`` per answer, rebuilt on each collision."""
     merged = {}
     short = unmappable = collisions = 0
@@ -251,7 +252,7 @@ def reference_ingest(records, table, answers):
         except UnmappableCharacterError:
             unmappable += 1
             continue
-        if answers is not None and answer not in answers:
+        if keep is not None and not keep(answer):
             continue
         old = merged.get(answer)
         if old is None:
@@ -280,11 +281,18 @@ ingest_record_lists = st.lists(
 )
 
 
+# None, a set's membership test, or a test on the answer's length as generate
+# passes it.
+keep_predicates = (
+    st.none()
+    | st.sets(st.text("AE", min_size=2, max_size=3), max_size=6).map(lambda s: s.__contains__)
+    | st.sets(st.integers(2, 3)).map(lambda lengths: lambda answer: len(answer) in lengths)
+)
+
+
 class TestIngestMatchesReference:
     @given(
-        records=ingest_record_lists,
-        policy=st.sampled_from([SKIP, REJECT]),
-        answers=st.none() | st.sets(st.text("AE", min_size=2, max_size=3), max_size=6),
+        records=ingest_record_lists, policy=st.sampled_from([SKIP, REJECT]), keep=keep_predicates
     )
     @example(
         records=[
@@ -295,13 +303,13 @@ class TestIngestMatchesReference:
             ("EEE", Source.FILLER, ("c1",)),
         ],
         policy=SKIP,
-        answers=None,
+        keep=None,
     )
     @settings(max_examples=300, deadline=None)
-    def test_lookup_stats_and_index(self, records, policy, answers):
+    def test_lookup_stats_and_index(self, records, policy, keep):
         table = replace(DEFAULT_TABLE, drop_policy=policy)
-        expected, stats = reference_ingest(records, table, answers)
-        lexicon = ingest_records(records, table, answers)
+        expected, stats = reference_ingest(records, table, keep)
+        lexicon = ingest_records(records, table, keep)
         assert lexicon.stats == stats
         assert len(lexicon) == len(expected)
         for answer, record in expected.items():
@@ -369,6 +377,33 @@ class TestLexiconFiles:
         lexicon = ingest_lexicon([topic, filler])
         assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
         assert lexicon.records["LIBERAL"] == ("liberal", Source.TOPIC, ())
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_restores_the_collector_state(self, tmp_path, monkeypatch, enabled):
+        good = tmp_path / "words.txt"
+        good.write_text("alpha\nbeta\n", encoding="utf-8")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text('{"surface": 5}\n', encoding="utf-8")
+        seen = []
+        read = read_lexicon_file
+        monkeypatch.setattr(
+            "topicross.lexicon.read_lexicon_file",
+            lambda path: seen.append(gc.isenabled()) or read(path),
+        )
+        was_enabled = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert len(ingest_lexicon([good])) == 2
+            assert gc.isenabled() is enabled
+            with pytest.raises(DataError):
+                ingest_lexicon([good, bad])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        # every file was read with the collector off
+        assert seen == [False, False, False]
 
 
 def split_word_list(data):

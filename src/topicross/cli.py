@@ -27,10 +27,14 @@ T = TypeVar("T")
 
 def _parse_size(value: str) -> tuple[int, int]:
     try:
-        v, h = value.lower().split("x")
-        return int(v), int(h)
+        v, h = (int(side) for side in value.lower().split("x"))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"size must look like 7x7, got {value!r}")
+        v = h = 0
+    if v < 1 or h < 1:
+        raise argparse.ArgumentTypeError(
+            f"size must look like 7x7, with both sides positive, got {value!r}"
+        )
+    return v, h
 
 
 def _parse_int_list(value: str) -> tuple[int, ...]:
@@ -77,10 +81,15 @@ def _load_table(path: str | None) -> lexicon.NormalizationTable:
 
 
 def _check_output_dirs(*paths: str | None) -> None:
-    """An OSError naming the first output path whose directory is missing, so
-    that a run fails before it reads any input, not at its last write."""
+    """An OSError naming the first output path that is a directory or whose
+    directory is missing, so that a run fails before it reads any input, not
+    at its last write."""
     for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise OSError(f"{path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise OSError(f"{path}: {str(Path(path).parent)!r} is not an existing directory")
 
 

@@ -24,9 +24,9 @@ topic answer fits its domain; no fill below a node holds more topic answers
 than it has placed plus its capable slots, so a node where that sum falls
 short of the quota is cut. The bound is sound because a domain only shrinks
 along a branch. At zero slack, where the sum equals the quota, a filler in a
-capable slot would leave the quota unreachable: such a slot's fillers are
-counted as expanded nodes without being decoded or placed, and only its topic
-candidates are searched.
+capable slot would leave the quota unreachable: such a slot searches only its
+topic candidates. A node is one placed answer; the node budget and
+``nodes_expanded`` count placements only.
 
 Before the first episode, a root test settles some instances outright. A root
 with fewer capable slots than the quota is refuted. At zero slack every
@@ -75,7 +75,7 @@ class SolverConfig:
     is final (``EXHAUSTED``).
 
     When ``node_budget`` is set the solver runs in deterministic mode:
-    episodes end after that many node expansions instead of after
+    episodes end after that many nodes (placed answers) instead of after
     ``restart_interval`` seconds, the episode count is capped at
     ``time_limit // restart_interval`` for parity with wall-clock runs, and
     reported elapsed time is a virtual clock (one full episode == one restart
@@ -149,16 +149,16 @@ def quota_needed(total_slots: int, target_rate: int) -> int:
 
 def choose_next_slot(
     state: FillState, slotset: SlotSet, index: WordIndex
-) -> tuple[int, int, int] | None:
-    """Most-constrained unassigned slot, the mask of its candidates to search
-    and the number of its unused answers left out of that mask, or ``None``
-    when the quota is out of reach.
+) -> tuple[int, int] | None:
+    """Most-constrained unassigned slot and the mask of its candidates to
+    search, or ``None`` when the quota is out of reach.
 
     An open slot is *capable* when an unused topic answer fits its domain.
     When ``topic_count + capable < need`` no fill below this node meets the
     quota: ``None``. At zero slack (equality) a filler in a capable slot would
     leave the quota unreachable, so such a slot searches only its unused topic
-    answers. Every other slot searches all the unused answers in its domain.
+    answers; its fillers are never placed and cost no node. Every other slot
+    searches all the unused answers in its domain.
     The fewest candidates win; ties go to the slot crossing more unassigned
     slots, then to the lowest slot_id.
     """
@@ -182,10 +182,10 @@ def choose_next_slot(
     slack = state.topic_count + capable - state.need
     if slack < 0:
         return None
-    picks = []  # (candidate count, slot_id, mask of unused answers, mask to search)
+    picks = []  # (candidate count, slot_id, mask to search)
     for sid, free, topic in rows:
         search = topic if topic and not slack else free
-        picks.append((index.count_matches(search), sid, free, search))
+        picks.append((index.count_matches(search), sid, search))
 
     def degree(sid: int) -> int:
         # Each across/down pair shares at most one cell, so counting links
@@ -193,11 +193,11 @@ def choose_next_slot(
         return sum(link is not None and link[0] not in assigned for link in slotset.crossings[sid])
 
     best_count = min(pick[0] for pick in picks)
-    _, sid, free, search = min(
+    _, sid, search = min(
         (pick for pick in picks if pick[0] == best_count),
         key=lambda pick: (-degree(pick[1]), pick[1]),
     )
-    return sid, search, (free & ~search).bit_count()
+    return sid, search
 
 
 def _root_refuted(slotset: SlotSet, index: WordIndex, need: int) -> bool:
@@ -285,9 +285,8 @@ def _run_episode(
         if picked is None:
             return False
         # Each group is reshuffled: topic-first ordering stays intact, only
-        # the canonical order within a group is randomized. The answers left
-        # out of the search are counted as nodes after it.
-        sid, search, n_left_out = picked
+        # the canonical order within a group is randomized.
+        sid, search = picked
         slot = slots[sid]
         pool = index.by_length.get(slot.length, ())
         topic_end = index.topic_count.get(slot.length, 0)
@@ -323,11 +322,6 @@ def _run_episode(
             if rank < topic_end:
                 state.topic_count -= 1
             del state.assignment[sid]
-        state.nodes_expanded += n_left_out
-        if budget is not None and state.nodes_expanded > budget:
-            # counted one at a time, they would stop at the budget
-            state.nodes_expanded = budget
-            raise _EpisodeCut
         return False
 
     try:

@@ -53,6 +53,30 @@ NAN_RATIO_PUZZLE = (
 )
 
 
+# Each output flag of each command; every input named here is missing, so a
+# run that reads an input before checking its outputs fails on that input.
+OUTPUT_FLAG_CASES = [
+    pytest.param(
+        ["ingest", "--corpus", "missing.jsonl", "--gazetteer", "missing.txt"], "--out",
+        id="ingest",
+    ),
+    pytest.param(["patterns", "--size", "4x4", "--black", "2"], "--out", id="patterns"),
+    pytest.param(
+        ["generate", "--pattern", "missing.txt", "--lexicon", "missing.txt"], "--out",
+        id="generate",
+    ),
+    pytest.param(["sweep", "--lexicon", "missing.txt"], "--out", id="sweep-out"),
+    pytest.param(
+        ["sweep", "--lexicon", "missing.txt", "--out", "s.csv"], "--summary",
+        id="sweep-summary",
+    ),
+    pytest.param(
+        ["sweep", "--lexicon", "missing.txt", "--out", "s.csv"], "--svg", id="sweep-svg"
+    ),
+    pytest.param(["render", "--puzzle", "missing.json"], "--out", id="render"),
+]
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert run(["generate", "--bogus"]) == 2
@@ -230,6 +254,16 @@ class TestExitCodes:
                  "--mask", ""], "--mask",
                 id="blank-mask",
             ),
+            # a side of zero is refused as the option is parsed, not later by
+            # the pattern generator
+            pytest.param(["patterns", "--size", "0x4", "--black", "0"], "--size", id="zero-height"),
+            pytest.param(
+                ["generate", "--size", "4x0", "--black", "0", "--lexicon", "filler.txt"], "--size",
+                id="zero-width",
+            ),
+            pytest.param(
+                ["sweep", "--size", "0x0", "--lexicon", "filler.txt"], "--size", id="zero-size"
+            ),
         ],
     )
     def test_usage_error_names_the_option(self, workdir, capsys, argv, named):
@@ -240,29 +274,7 @@ class TestExitCodes:
         assert named in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            pytest.param(
-                ["ingest", "--corpus", "missing.jsonl", "--gazetteer", "missing.txt"], "--out",
-                id="ingest",
-            ),
-            pytest.param(["patterns", "--size", "4x4", "--black", "2"], "--out", id="patterns"),
-            pytest.param(
-                ["generate", "--pattern", "missing.txt", "--lexicon", "missing.txt"], "--out",
-                id="generate",
-            ),
-            pytest.param(["sweep", "--lexicon", "missing.txt"], "--out", id="sweep-out"),
-            pytest.param(
-                ["sweep", "--lexicon", "missing.txt", "--out", "s.csv"], "--summary",
-                id="sweep-summary",
-            ),
-            pytest.param(
-                ["sweep", "--lexicon", "missing.txt", "--out", "s.csv"], "--svg", id="sweep-svg"
-            ),
-            pytest.param(["render", "--puzzle", "missing.json"], "--out", id="render"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, flag", OUTPUT_FLAG_CASES)
     def test_missing_output_directory_fails_before_any_input_is_read(
         self, workdir, capsys, argv, flag
     ):
@@ -273,6 +285,38 @@ class TestExitCodes:
         # the error names the output path, not a (missing) input file
         assert err.startswith(f"error: {target}: ") and "missing." not in err
         assert not (workdir / "s.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        OUTPUT_FLAG_CASES
+        + [
+            # with inputs that load, the run must still stop before its search
+            # and before it writes the records CSV
+            pytest.param(
+                ["generate", "--size", "4x4", "--black", "2", "--lexicon", "filler.txt",
+                 "--node-budget", "50"], "--out",
+                id="generate-inputs",
+            ),
+            pytest.param(
+                ["sweep", "--size", "4x4", "--black-counts", "2", "--patterns-per-count", "1",
+                 "--t-values", "0", "--lexicon", "filler.txt", "--node-budget", "50",
+                 "--out", "s.csv"], "--summary",
+                id="sweep-summary-inputs",
+            ),
+        ],
+    )
+    def test_directory_output_path_fails_before_any_input_is_read(
+        self, workdir, capsys, argv, flag
+    ):
+        target = workdir / "a-dir"
+        target.mkdir()
+        before = sorted(workdir.rglob("*"))
+        argv = [workdir / a if a.endswith((".txt", ".json", ".jsonl", ".csv")) else a for a in argv]
+        assert run(argv + [flag, target]) == 3
+        # the error names the output path, not a (missing) input file, and no
+        # output file appears
+        assert capsys.readouterr().err == f"error: {target}: is a directory\n"
+        assert sorted(workdir.rglob("*")) == before
 
     @pytest.mark.parametrize("flag", ["--time-limit", "--restart-interval"])
     def test_nan_seconds(self, workdir, capsys, flag):

@@ -148,9 +148,9 @@ class TestChooseNextSlot:
         state.need = 2
         assert choose_next_slot(state, slotset, index) is None
         # with a quota of one the capable slot 0 gives slack, so slot 1
-        # searches its one unused answer ZA and leaves nothing out
+        # searches its one unused answer ZA
         state.need = 1
-        assert choose_next_slot(state, slotset, index) == (1, state.domain[1], 0)
+        assert choose_next_slot(state, slotset, index) == (1, state.domain[1])
         # with AB and CD placed elsewhere (ranks 0 and 1 used) no slot is
         # capable, so even a quota of one is out of reach
         state.used[2] = 0b11
@@ -171,15 +171,15 @@ class TestChooseNextSlot:
         bit = {answer: 1 << rank for rank, answer in enumerate(index.by_length[2])}
         # with slack every slot counts all its candidates: Q. and A. tie
         state.need = 1
-        assert choose_next_slot(state, slotset, index) == (0, bit["QA"] | bit["QB"], 0)
+        assert choose_next_slot(state, slotset, index) == (0, bit["QA"] | bit["QB"])
         # at zero slack the capable slots count only their topics (2 and 1):
-        # Z. wins, searches ZA alone and leaves its three fillers out
+        # Z. wins and searches ZA alone, without its three fillers
         state.need = 2
-        assert choose_next_slot(state, slotset, index) == (2, bit["ZA"], 3)
+        assert choose_next_slot(state, slotset, index) == (2, bit["ZA"])
         # with QB used Q. ties Z. at one candidate and wins on its id; it is
-        # not capable, so it searches its filler QA and leaves nothing out
+        # not capable, so it searches its filler QA
         state.used[2] = bit["QB"]
-        assert choose_next_slot(state, slotset, index) == (0, bit["QA"], 0)
+        assert choose_next_slot(state, slotset, index) == (0, bit["QA"])
 
     @pytest.mark.parametrize("seed", range(5))
     def test_zero_slack_search_holds_only_topic_ranks(self, seed):
@@ -198,11 +198,11 @@ class TestChooseNextSlot:
         state.need = 1
         state.used[3] = used = sum(1 << r for r in pick.sample(range(len(words)), 5))
         free = index.candidates(state.domain[0], used)
-        sid, search, n_left_out = choose_next_slot(state, slotset, index)
+        sid, search = choose_next_slot(state, slotset, index)
         ranks = index.candidates(search)
         assert sid == 0 and ranks
         assert ranks == [r for r in free if r < n_topic]
-        assert n_left_out == sum(r >= n_topic for r in free) > 1
+        assert sum(r >= n_topic for r in free) > 1
 
 
 class TestForwardChecking:
@@ -235,6 +235,51 @@ class TestForwardChecking:
                 solve(slotset, index, config)
         # the sample reaches deep nodes, where crossings have narrowed domains
         assert len(checked) > 400 and max(checked) >= 4 and sum(narrowed) > 400
+
+
+class TestNodeUnit:
+    @pytest.mark.parametrize(
+        "clock",
+        [
+            {"node_budget": 25, "time_limit": 30, "restart_interval": 10},
+            {"node_budget": None, "time_limit": 0.2, "restart_interval": 0.05},
+        ],
+        ids=["budget", "wall-clock"],
+    )
+    def test_nodes_expanded_counts_placements(self, monkeypatch, clock):
+        # A node is one placed answer. Every placement leads either to a
+        # choose_next_slot call below the root or to a complete fill, which
+        # ends the solve outside maximize mode; counting those apart from the
+        # solver must give its nodes_expanded, cut episodes included. The
+        # sample must reach zero-slack picks that leave fillers unplaced.
+        real_choose = solver_module.choose_next_slot
+        below_root = 0
+        left_out = 0
+
+        def counting_choose(state, slotset, index):
+            nonlocal below_root, left_out
+            below_root += bool(state.assignment)
+            picked = real_choose(state, slotset, index)
+            if picked is not None:
+                sid, search = picked
+                free = state.domain[sid] & ~state.used.get(slotset.slots[sid].length, 0)
+                left_out += bool(free & ~search)
+            return picked
+
+        monkeypatch.setattr(solver_module, "choose_next_slot", counting_choose)
+        rng = random.Random(41)
+        outcomes = set()
+        for _ in range(40):
+            _, slotset, _, index = random_small_instance(rng)
+            for rate in (25, 50, 75, 100):
+                below_root = 0
+                config = SolverConfig(target_rate=rate, seed=rng.randrange(1000), **clock)
+                result = solve(slotset, index, config)
+                assert result.nodes_expanded == below_root + result.success
+                outcomes.add(result.status)
+        assert left_out > 50
+        if clock["node_budget"] is not None:
+            assert outcomes == set(Status)
 
 
 class TestRootRefutation:
@@ -377,7 +422,7 @@ class TestRestarts:
         assert result.success and result.restarts == 0
 
     def test_deterministic_episode_cap(self):
-        # Exhausting this space takes nine nodes (see the test below), so a
+        # Exhausting this space takes seven nodes (see the test below), so a
         # budget of two cuts every episode and the solve runs to the cap.
         slotset, index = doomed_filler_instance()
         config = SolverConfig(
@@ -389,23 +434,25 @@ class TestRestarts:
 
     @pytest.mark.parametrize(
         "node_budget, nodes, elapsed_ms",
-        [(5, 15, 30_000), (9, 9, 10_000), (12, 9, 7_500)],
+        [(5, 15, 30_000), (7, 7, 10_000), (12, 7, 5_833)],
     )
     def test_budget_cut_among_quota_doomed_fillers(self, node_budget, nodes, elapsed_ms):
         # At 75% three of the four slots must take one of the topic words AB,
         # BD and CD. Each topic word in slot 0 is a dead end one node deep, so
         # an episode spends three nodes on them. A filler BB or BC there (one
         # node each) leaves zero slack: slot 2 (B.) searches BD alone (one
-        # node, refuted) and counts its other filler as a doomed node, so 9
-        # nodes exhaust the space. A budget of 5 cuts every episode while it
-        # counts that filler; a budget of 9 or more lets the first episode
-        # exhaust the space, which ends the solve.
+        # node, refuted) and never places its other filler, so 3 + 2 * 2 = 7
+        # placements exhaust the space. A budget of 5 cuts each of the three
+        # episodes at 5 nodes, 15 in all, each charged a full 10 s interval.
+        # A budget of 7 or more lets the first episode exhaust the space,
+        # which ends the solve: 7 nodes charged 10 s * 7 / budget (5,833 ms
+        # at 12, rounded).
         slotset, index = doomed_filler_instance()
         config = SolverConfig(
             target_rate=75, node_budget=node_budget, time_limit=30, restart_interval=10
         )
         result = solve(slotset, index, config)
-        status, restarts = (Status.TIMEOUT, 2) if node_budget < 9 else (Status.EXHAUSTED, 0)
+        status, restarts = (Status.TIMEOUT, 2) if node_budget < 7 else (Status.EXHAUSTED, 0)
         assert (result.status, result.nodes_expanded, result.elapsed_ms, result.restarts) == (
             status, nodes, elapsed_ms, restarts
         )
@@ -442,8 +489,7 @@ class TestRestarts:
 
     def test_virtual_clock_bounds(self):
         # Every episode of a cut solve is charged at most one restart
-        # interval, also when the cut falls among doomed fillers counted in
-        # bulk, so the virtual clock never passes the time limit.
+        # interval, so the virtual clock never passes the time limit.
         slotset, index = doomed_filler_instance()
         for node_budget in range(1, 12):
             config = SolverConfig(

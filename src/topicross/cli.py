@@ -9,6 +9,7 @@ run never leaves partial output behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -281,7 +282,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: an argparse parser is
+    full of reference cycles, which only the cyclic collector could free."""
     parser = argparse.ArgumentParser(
         prog="topicross",
         description="Generate crossword puzzles with a guaranteed share of topic words.",
@@ -298,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-clue-chars", type=int, default=pipeline.DEFAULT_MIN_CLUE_CHARS)
     p.add_argument("--table", help="normalization table JSON")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("patterns", help="generate random valid patterns")
     p.add_argument("--size", type=_parse_size, required=True, metavar="VxH")
@@ -306,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_patterns)
 
     p = sub.add_parser("generate", help="fill one pattern into a puzzle")
     p.add_argument("--pattern", help="pattern file (first pattern is used)")
@@ -320,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("sweep", help="success-probability / time sweep")
     p.add_argument("--size", type=_parse_size, default=(7, 7), metavar="VxH")
@@ -341,20 +342,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", help="summary JSON path")
     p.add_argument("--svg", help="summary chart path")
     _add_solver_flags(p)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="re-check a puzzle JSON file")
     p.add_argument("--puzzle", required=True)
     p.add_argument("--lexicon", nargs="+", required=True, metavar="FILE")
     p.add_argument("--table")
     p.add_argument("--target-rate", type=_parse_target_rate, default=0, metavar="T")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="puzzle JSON -> text grid and clues")
     p.add_argument("--puzzle", required=True)
     p.add_argument("--solution-free", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_render)
 
     return parser
 
@@ -366,7 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        # looked up per call, not bound into the cached parser, so that a
+        # handler replaced after the first call is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -10,18 +10,24 @@ clues)`` tuple, and this module owns its JSON Lines format: both
 Normalization maps a surface onto the grid alphabet with a
 :class:`NormalizationTable`. A table whose keys are single characters is one
 ``str.translate`` map, which also passes alphabet characters through and
-drops or rejects the rest, so a surface costs one ``translate`` call. A table
-with longer keys substitutes through one regex alternation and then checks
-the result against the alphabet.
+drops or rejects the rest. :func:`ingest_records` joins a load's surfaces,
+drops the non-ASCII characters and translates the joined text in one call,
+because ``str.translate`` takes its ASCII fast path only on a string that is
+all ASCII; each surface that held a non-ASCII character then costs one
+:func:`normalize` call. A table with longer keys substitutes through one
+regex alternation and then checks the result against the alphabet, one
+surface at a time.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import compress, filterfalse, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -84,11 +90,16 @@ class NormalizationTable:
     """Maps surface code-point sequences onto the grid alphabet.
 
     Keys may be multi-character; the longest key match wins at each input
-    position, and an empty key never matches. Characters already in the
-    output alphabet pass through, so the table is idempotent on its own
-    output. Anything else is handled per ``drop_policy``: 'reject' raises,
-    'skip' silently drops the character. A mapped value that contains
-    whitespace raises ``ValueError``.
+    position, and an empty key never matches. A character that no key
+    matches passes through when it is in the output alphabet (the characters
+    of the mapped values). Anything else is handled per ``drop_policy``:
+    'reject' raises, 'skip' silently drops the character. A mapped value
+    that contains whitespace raises ``ValueError``.
+
+    The table is idempotent on its own output when every key spelled in the
+    alphabet maps to itself, as in the default table. Otherwise it need not
+    be: with ``{"a": "B", "B": "C"}``, ``apply("a")`` is ``"B"`` but
+    ``apply("B")`` is ``"C"``.
 
     When every key is one character, :meth:`apply` is one ``str.translate``
     call whose map also applies the drop policy; otherwise it substitutes with
@@ -100,6 +111,8 @@ class NormalizationTable:
     drop_policy: str = SKIP
     _alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
     _codes: _Translation | None = field(init=False, repr=False, compare=False)
+    # _codes with "\n" sent to itself, to translate "\n"-joined surfaces at once
+    _batch_codes: _Translation | None = field(init=False, repr=False, compare=False)
     _pattern: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -110,14 +123,18 @@ class NormalizationTable:
             raise ValueError(f"'drop_policy' must be {REJECT!r} or {SKIP!r}")
         alphabet = frozenset(ch for value in self.mappings.values() for ch in value)
         object.__setattr__(self, "_alphabet", alphabet)
-        codes = pattern = None
+        codes = batch_codes = pattern = None
         if all(len(key) <= 1 for key in self.mappings):
             codes = _Translation((ord(key), value) for key, value in self.mappings.items() if key)
-            codes.alphabet = alphabet
-            codes.reject = self.drop_policy == REJECT
+            batch_codes = _Translation(codes)
+            batch_codes[ord("\n")] = "\n"
+            for translation in (codes, batch_codes):
+                translation.alphabet = alphabet
+                translation.reject = self.drop_policy == REJECT
         else:
             pattern = longest_first_pattern(self.mappings)
         object.__setattr__(self, "_codes", codes)
+        object.__setattr__(self, "_batch_codes", batch_codes)
         object.__setattr__(self, "_pattern", pattern)
 
     def apply(self, surface: str) -> str:
@@ -218,6 +235,10 @@ class IngestStats:
     collisions: int = 0
 
 
+# Records one load normalizes at a time, so that the answers of a slice
+# are freed before the next slice is read.
+_SLICE = 8192
+
 # One lexicon record: (surface, source, clues). A plain tuple, because a
 # load builds one per line of every lexicon file.
 Record = tuple[str, Source, tuple[str, ...]]
@@ -277,6 +298,54 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
     return records
 
 
+def _normalize_each(
+    surfaces: list[str], answers: list[str], redo: Iterable[str], table: NormalizationTable
+) -> int:
+    """Normalize each surface of ``redo``, a subsequence of ``surfaces``, one
+    at a time. Each answer goes to its place in ``answers``, ``""`` for one
+    that does not normalize; return how many were unmappable."""
+    unmappable = 0
+    find = surfaces.index
+    i = -1
+    for surface in redo:
+        # the next surface of redo is the next one equal to it
+        i = find(surface, i + 1)
+        try:
+            answers[i] = normalize(surface, table)
+        except TooShortError:
+            answers[i] = ""
+        except UnmappableCharacterError:
+            answers[i] = ""
+            unmappable += 1
+    return unmappable
+
+
+def _answers(surfaces: list[str], table: NormalizationTable) -> tuple[list[str], int]:
+    """Each surface's answer, shorter than two letters for one that does not
+    normalize, and how many surfaces were unmappable.
+
+    The surfaces are joined with ``"\n"`` and translated in one call; each
+    surface that holds a non-ASCII character then gets its own
+    :func:`normalize` call. Every surface gets its own call instead under a
+    table with multi-character keys, when a surface is empty or holds
+    ``"\n"``, or when a 'reject' table raises on the joined surfaces.
+    """
+    codes = table._batch_codes
+    if codes is not None and all(surfaces):
+        # str.translate takes its fast path only on an all-ASCII string, so
+        # the non-ASCII characters are dropped here; their surfaces are redone.
+        joined = "\n".join(surfaces).encode("ascii", "ignore").decode("ascii")
+        try:
+            answers = joined.translate(codes).split("\n")
+        except UnmappableCharacterError:
+            answers = []
+        if len(answers) == len(surfaces):
+            redo = filterfalse(str.isascii, surfaces)
+            return answers, _normalize_each(surfaces, answers, redo, table)
+    answers = [""] * len(surfaces)
+    return answers, _normalize_each(surfaces, answers, surfaces, table)
+
+
 def ingest_records(
     records: Iterable[Record],
     table: NormalizationTable = DEFAULT_TABLE,
@@ -288,12 +357,13 @@ def ingest_records(
     and union the clue lists in first-seen order. Records that fail
     normalization are skipped and counted, never fatal.
 
-    With ``keep`` set, every record is still normalized, but one whose
-    normalized answer fails ``keep`` is dropped before the merge: each kept
-    answer gets the same record as in an unfiltered load. The
-    ``skipped_short`` and ``skipped_unmappable`` stats then still count every
-    record, while ``topic``, ``filler`` and ``collisions`` count only the kept
-    answers.
+    With ``keep`` set, every record is still normalized, and ``keep`` is
+    called once on each record's answer that has at least two letters, in
+    record order, repeats included. A record whose answer fails ``keep`` is
+    dropped before the merge: each kept answer gets the same record as in an
+    unfiltered load. The ``skipped_short`` and ``skipped_unmappable`` stats
+    then still count every record, while ``topic``, ``filler`` and
+    ``collisions`` count only the kept answers.
     """
     merged: dict[str, Record] = {}
     skipped_short = 0
@@ -302,34 +372,37 @@ def ingest_records(
     topic = 0
     # Bound once, outside the per-record loop: a global or enum-member lookup
     # costs several times a local one.
-    to_answer = normalize
     get = merged.get
     topic_tag = Source.TOPIC
     filler_tag = Source.FILLER
-    for record in records:
-        surface, source, clues = record
-        try:
-            answer = to_answer(surface, table)
-        except TooShortError:
-            skipped_short += 1
-            continue
-        except UnmappableCharacterError:
-            skipped_unmappable += 1
-            continue
-        if keep is not None and not keep(answer):
-            continue
-        existing = get(answer)
-        if existing is None:
-            merged[answer] = record
-            topic += source is topic_tag
-            continue
-        collisions += 1
-        kept_surface, kept_source, kept_clues = existing
-        if kept_source is filler_tag and source is topic_tag:
-            kept_surface, kept_source = surface, source
-            topic += 1
-        clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
-        merged[answer] = (kept_surface, kept_source, clues)
+    records = iter(records)
+    while chunk := list(islice(records, _SLICE)):
+        answers, unmappable = _answers(list(map(operator.itemgetter(0), chunk)), table)
+        skipped_unmappable += unmappable
+        picked: Iterable[Record] = chunk
+        if min(map(len, answers)) < 2:
+            long_enough = list(map(operator.le, repeat(2), map(len, answers)))
+            answers = list(compress(answers, long_enough))
+            picked = compress(chunk, long_enough)
+        skipped_short += len(chunk) - len(answers) - unmappable
+        if keep is not None:
+            kept = list(map(keep, answers))
+            answers = compress(answers, kept)
+            picked = compress(picked, kept)
+        for answer, record in zip(answers, picked):
+            existing = get(answer)
+            if existing is None:
+                merged[answer] = record
+                topic += record[1] is topic_tag
+                continue
+            collisions += 1
+            surface, source, clues = record
+            kept_surface, kept_source, kept_clues = existing
+            if kept_source is filler_tag and source is topic_tag:
+                kept_surface, kept_source = surface, source
+                topic += 1
+            clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
+            merged[answer] = (kept_surface, kept_source, clues)
     stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
     return Lexicon(records=merged, stats=stats)
 

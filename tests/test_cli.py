@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, determinism, atomic outputs."""
 
+import gc
 import json
 
 import pytest
@@ -786,3 +787,33 @@ class TestDeterminism:
         doc = json.loads(summary.read_text())
         assert "by_target_rate" in doc and "by_black_count" in doc
         assert svg.read_text().startswith("<svg")
+
+
+class TestParserReuse:
+    def test_a_call_leaves_no_argparse_cycle(self, workdir):
+        # The parser is built once per process, so after a first call no
+        # argparse object is left for the cyclic collector to free.
+        argv = [
+            "generate", "--size", "4x4", "--black", "2",
+            "--lexicon", workdir / "filler.txt", "--target-rate", "0",
+            "--node-budget", "100000", "--out", workdir / "puzzle.json",
+        ]
+        assert run(argv) == 0
+        flags = gc.get_debug()
+        gc.collect()
+        gc.garbage.clear()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert run(argv) == 0
+            gc.collect()
+            cyclic = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+        assert cyclic == []
+
+    def test_handler_is_looked_up_per_call(self, workdir, monkeypatch):
+        argv = ["patterns", "--size", "4x4", "--black", "2", "--out", workdir / "p.txt"]
+        assert run(argv) == 0
+        monkeypatch.setattr("topicross.cli.cmd_patterns", lambda args: 1)
+        assert run(argv) == 1

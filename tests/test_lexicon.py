@@ -6,10 +6,12 @@ import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from topicross import lexicon as lexicon_module
 from topicross.lexicon import (
     DEFAULT_TABLE,
     REJECT,
@@ -88,6 +90,13 @@ class TestNormalize:
         except ValueError:
             return
         assert normalize(once) == once
+
+    def test_not_idempotent_when_an_alphabet_key_moves(self):
+        # "B" is in the alphabet (a value) and a key that does not map to
+        # itself, so the table's output is not a fixed point
+        table = NormalizationTable(mappings={"a": "B", "B": "C"})
+        assert table.apply("a") == "B"
+        assert table.apply("B") == "C"
 
     def test_table_json_round_trip(self):
         doc = DEFAULT_TABLE.to_json()
@@ -317,6 +326,146 @@ class TestIngestMatchesReference:
         assert all_entries(lexicon) == sorted(expected.items())
         # the entries equal the reference's, so this checks the index against it
         assert_index_matches_definition(lexicon, build_index(lexicon))
+
+
+def per_record_ingest(records, table=DEFAULT_TABLE, keep=None):
+    """The load as one :func:`normalize` call per record: the loop
+    ``ingest_records`` ran before it normalized in columns, kept as its oracle."""
+    merged = {}
+    skipped_short = 0
+    skipped_unmappable = 0
+    collisions = 0
+    topic = 0
+    for record in records:
+        surface, source, clues = record
+        try:
+            answer = normalize(surface, table)
+        except TooShortError:
+            skipped_short += 1
+            continue
+        except UnmappableCharacterError:
+            skipped_unmappable += 1
+            continue
+        if keep is not None and not keep(answer):
+            continue
+        existing = merged.get(answer)
+        if existing is None:
+            merged[answer] = record
+            topic += source is Source.TOPIC
+            continue
+        collisions += 1
+        kept_surface, kept_source, kept_clues = existing
+        if kept_source is Source.FILLER and source is Source.TOPIC:
+            kept_surface, kept_source = surface, source
+            topic += 1
+        clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
+        merged[answer] = (kept_surface, kept_source, clues)
+    stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
+    return Lexicon(records=merged, stats=stats)
+
+
+def load_outcome(load, records, table, keep):
+    """The records in insertion order and the stats, or the error a load raised."""
+    try:
+        lexicon = load(records, table, keep)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return list(lexicon.records.items()), lexicon.stats
+
+
+# ASCII, accented, expanding (ß, Æ), padded, '#'-leading and punctuation-only
+# surfaces; ones that normalize to zero or one letter; embedded newlines.
+ORACLE_SURFACES = [
+    "ab", "AB", "Ab", "abc", "café", "CAFE", "straße", "STRASSE", "Æble", "aeble",
+    " ab ", "\tab", "#ab", "!?", "a", "-", "é", "é-", "ñ!", "new\nyork", "NEWYORK",
+    "new york", "a\n", "\n\n", "bach", "BAX",
+]
+LETTERS = {ch: ch.upper() for ch in "abcehknorsty"} | {ch: ch for ch in "ABCEHKNORSTY"}
+ORACLE_TABLES = {
+    "default": DEFAULT_TABLE,
+    "reject": replace(DEFAULT_TABLE, drop_policy=REJECT),
+    "multi-character keys": NormalizationTable({**LETTERS, "ch": "X", "é": "E", "ß": "SS"}),
+    "newline key": NormalizationTable({**LETTERS, "\n": "N", "é": "E"}),
+    "reject, newline key": NormalizationTable({**LETTERS, "\n": "N"}, drop_policy=REJECT),
+}
+oracle_records = st.lists(
+    st.tuples(
+        st.sampled_from(ORACLE_SURFACES) | st.text("abAé ßÆ-#!\n", min_size=1, max_size=5),
+        st.sampled_from(Source),
+        st.lists(st.sampled_from(["c1", "c2", "c3"]), max_size=3).map(tuple),
+    ),
+    max_size=40,
+)
+ORACLE_KEEPS = {
+    "none": None,
+    "length": lambda answer: len(answer) in (2, 4),
+    "answer set": {"AB", "CAFE", "NEWYORK", "STRASSE", "BAX"}.__contains__,
+}
+
+
+class TestColumnLoadMatchesPerRecordLoop:
+    @given(
+        records=oracle_records,
+        table=st.sampled_from(sorted(ORACLE_TABLES)),
+        keep=st.sampled_from(sorted(ORACLE_KEEPS)),
+        slice_size=st.sampled_from([1, 3, lexicon_module._SLICE]),
+    )
+    @example(
+        records=[
+            ("new\nyork", Source.FILLER, ("c1",)),
+            ("NEWYORK", Source.TOPIC, ("c2",)),
+            ("café", Source.FILLER, ()),
+            ("Cafe", Source.TOPIC, ("c1", "c3")),
+        ],
+        table="default",
+        keep="none",
+        slice_size=lexicon_module._SLICE,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_records_in_order_and_stats(self, records, table, keep, slice_size):
+        table, keep = ORACLE_TABLES[table], ORACLE_KEEPS[keep]
+        expected = load_outcome(per_record_ingest, records, table, keep)
+        with patch.object(lexicon_module, "_SLICE", slice_size):
+            assert load_outcome(ingest_records, records, table, keep) == expected
+
+    def test_embedded_newline_joins_the_words(self):
+        lexicon = ingest_records([("new\nyork", Source.FILLER, ()), ("ab", Source.FILLER, ())])
+        assert list(lexicon.records) == ["NEWYORK", "AB"]
+
+    def test_empty_surface_raises(self):
+        with pytest.raises(ValueError, match="surface must be non-empty"):
+            ingest_records([("ab", Source.FILLER, ()), ("", Source.FILLER, ())])
+
+    @pytest.mark.parametrize(
+        "table, surfaces, calls",
+        [
+            # only a surface with a non-ASCII character is normalized alone
+            ("default", ["ab", "café", "new york", "#ab", "Æble"], ["café", "Æble"]),
+            ("reject", ["ab", "café"], ["café"]),
+            # a surface holding a newline, a 'reject' table that meets an
+            # unmappable character, or multi-character keys: each surface alone
+            ("default", ["ab", "new\nyork", "é"], ["ab", "new\nyork", "é"]),
+            ("reject", ["ab", "a-b", "é"], ["ab", "a-b", "é"]),
+            ("multi-character keys", ["ab", "bach"], ["ab", "bach"]),
+        ],
+    )
+    def test_which_surfaces_are_normalized_alone(self, monkeypatch, table, surfaces, calls):
+        seen = []
+
+        def counting_normalize(surface, table):
+            seen.append(surface)
+            return normalize(surface, table)
+
+        monkeypatch.setattr(lexicon_module, "normalize", counting_normalize)
+        records = [(surface, Source.FILLER, ()) for surface in surfaces]
+        ingest_records(records, ORACLE_TABLES[table])
+        assert seen == calls
+
+    def test_keep_sees_each_answer_of_two_letters_or_more(self):
+        seen = []
+        records = [(s, Source.FILLER, ()) for s in ["ab", "a", "café", "!?", "AB", "é-"]]
+        ingest_records(records, keep=lambda answer: seen.append(answer) or True)
+        assert seen == ["AB", "CAFE", "AB"]
 
 
 class TestLexiconFiles:

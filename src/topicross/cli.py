@@ -174,6 +174,8 @@ def cmd_patterns(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    # Usage errors (exit 2) come before any file is read.
+    config = _solver_config(args, args.target_rate)
     _check_output_dirs(args.out)
     pattern = _resolve_pattern(args)
     slotset = grid.extract_slots(pattern)
@@ -183,20 +185,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
         args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
     )
     index = lexicon.build_index(lex)
-    config = _solver_config(args, args.target_rate)
     result = solver.solve(slotset, index, config, maximize=args.max_topic)
     if not result.success:
         print(f"generation failed: {result.status.value}", file=sys.stderr)
         return EXIT_FAILURE
     pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
-    if args.format == "json":
-        text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free)
-    else:
-        text = puzzle.render_text(pzl, include_solution=not args.solution_free)
+    text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free)
     if args.out:
         atomic_write_text(args.out, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text + "\n")
     return EXIT_OK
 
 
@@ -217,7 +215,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     _check_output_dirs(args.out, args.summary, args.svg)
-    patterns = None
     if args.patterns:
         patterns = _parse_file(args.patterns, grid.parse_pattern_file)
         seen: set[str] = set()
@@ -230,6 +227,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     "once; give each pattern its own 'id:' line"
                 )
             seen.add(pattern.pattern_id)
+    else:
+        # drawn before the lexicon load, so a black count too large for
+        # --size is a usage error before any file is read
+        patterns = harness.default_sweep_patterns(config)
     index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
     records = harness.run_sweep(config, index, patterns=patterns, jobs=args.jobs)
     harness.write_records_csv(records, args.out)
@@ -319,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-rate", type=_parse_target_rate, default=50, metavar="T")
     p.add_argument("--max-topic", action="store_true", help="maximize the topic rate")
     p.add_argument("--solution-free", action="store_true")
-    p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--out")
     _add_solver_flags(p)
 

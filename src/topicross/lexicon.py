@@ -8,15 +8,14 @@ clues)`` tuple, and this module owns its JSON Lines format: both
 :func:`write_lexicon_jsonl` and :func:`read_lexicon_file` live here.
 
 Normalization maps a surface onto the grid alphabet with a
-:class:`NormalizationTable`. A table whose keys are single characters is one
-``str.translate`` map, which also passes alphabet characters through and
-drops or rejects the rest. :func:`ingest_records` joins a load's surfaces,
-drops the non-ASCII characters and translates the joined text in one call,
-because ``str.translate`` takes its ASCII fast path only on a string that is
-all ASCII; each surface that held a non-ASCII character then costs one
-:func:`normalize` call. A table with longer keys substitutes through one
-regex alternation and then checks the result against the alphabet, one
-surface at a time.
+:class:`NormalizationTable`: its keys substitute, longest first, and one
+alphabet check then drops or rejects every character left outside the
+alphabet. Under a 'skip' table whose keys are single characters (the default
+is one), :func:`ingest_records` joins a load's surfaces, drops the non-ASCII
+characters and translates the joined text in one call, because
+``str.translate`` takes its ASCII fast path only on a string that is all
+ASCII; each surface that held a non-ASCII character then costs one
+:func:`normalize` call. Under any other table, each surface costs one call.
 """
 
 from __future__ import annotations
@@ -64,27 +63,6 @@ REJECT = "reject"
 SKIP = "skip"
 
 
-class _Translation(dict):
-    """The ``str.translate`` map of a table whose keys are single characters.
-
-    A code point the table lists maps to its value. Any other maps to itself
-    when it is in the alphabet, to ``None`` (dropped) under 'skip', and to an
-    :class:`UnmappableCharacterError` under 'reject'. ``__missing__`` stores
-    nothing, so the map never changes after it is built.
-    """
-
-    __slots__ = ("alphabet", "reject")
-
-    def __missing__(self, code: int) -> str | None:
-        ch = chr(code)
-        if ch in self.alphabet:
-            return ch
-        if self.reject:
-            # translate does not pass the surface; apply adds it
-            raise UnmappableCharacterError(ch, "")
-        return None
-
-
 @dataclass(frozen=True)
 class NormalizationTable:
     """Maps surface code-point sequences onto the grid alphabet.
@@ -101,18 +79,19 @@ class NormalizationTable:
     be: with ``{"a": "B", "B": "C"}``, ``apply("a")`` is ``"B"`` but
     ``apply("B")`` is ``"C"``.
 
-    When every key is one character, :meth:`apply` is one ``str.translate``
-    call whose map also applies the drop policy; otherwise it substitutes with
-    one regex alternation of the keys, longest first, which takes the longest
-    key that matches at each position, and then checks the alphabet.
+    :meth:`apply` substitutes in one step: one ``str.translate`` call when
+    every key is one character, else one regex alternation of the keys,
+    longest first. One alphabet check then drops or rejects what is left.
+    Under 'skip', the translate map also drops the ASCII characters outside
+    the alphabet and keeps ``"\\n"`` unless it is a key, so that
+    :func:`ingest_records` can translate a load's ASCII surfaces, joined with
+    ``"\\n"``, in one call.
     """
 
     mappings: dict[str, str]
     drop_policy: str = SKIP
     _alphabet: frozenset[str] = field(init=False, repr=False, compare=False)
-    _codes: _Translation | None = field(init=False, repr=False, compare=False)
-    # _codes with "\n" sent to itself, to translate "\n"-joined surfaces at once
-    _batch_codes: _Translation | None = field(init=False, repr=False, compare=False)
+    _codes: dict[int, str | None] | None = field(init=False, repr=False, compare=False)
     _pattern: re.Pattern[str] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -123,30 +102,26 @@ class NormalizationTable:
             raise ValueError(f"'drop_policy' must be {REJECT!r} or {SKIP!r}")
         alphabet = frozenset(ch for value in self.mappings.values() for ch in value)
         object.__setattr__(self, "_alphabet", alphabet)
-        codes = batch_codes = pattern = None
+        codes = pattern = None
         if all(len(key) <= 1 for key in self.mappings):
-            codes = _Translation((ord(key), value) for key, value in self.mappings.items() if key)
-            batch_codes = _Translation(codes)
-            batch_codes[ord("\n")] = "\n"
-            for translation in (codes, batch_codes):
-                translation.alphabet = alphabet
-                translation.reject = self.drop_policy == REJECT
+            codes = {}
+            if self.drop_policy == SKIP:
+                codes = {code: None for code in range(128) if chr(code) not in alphabet}
+                codes[ord("\n")] = "\n"
+            codes.update((ord(key), value) for key, value in self.mappings.items() if key)
         else:
             pattern = longest_first_pattern(self.mappings)
         object.__setattr__(self, "_codes", codes)
-        object.__setattr__(self, "_batch_codes", batch_codes)
         object.__setattr__(self, "_pattern", pattern)
 
     def apply(self, surface: str) -> str:
         if self._pattern is None:
-            try:
-                return surface.translate(self._codes)
-            except UnmappableCharacterError as exc:
-                raise UnmappableCharacterError(exc.codepoint, surface) from None
-        out = self._pattern.sub(lambda match: self.mappings[match.group()], surface)
-        # Every mapped value is in the alphabet and an unmatched character
-        # passes through unchanged, so the characters left outside the
-        # alphabet are exactly the unmappable ones, in input order.
+            out = surface.translate(self._codes)
+        else:
+            out = self._pattern.sub(lambda match: self.mappings[match.group()], surface)
+        # Every mapped value is in the alphabet and any other character that
+        # survives the substitution is unchanged, so the characters left
+        # outside the alphabet are exactly the unmappable ones, in input order.
         if self._alphabet.issuperset(out):
             return out
         if self.drop_policy == REJECT:
@@ -298,12 +273,27 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
     return records
 
 
-def _normalize_each(
-    surfaces: list[str], answers: list[str], redo: Iterable[str], table: NormalizationTable
-) -> int:
-    """Normalize each surface of ``redo``, a subsequence of ``surfaces``, one
-    at a time. Each answer goes to its place in ``answers``, ``""`` for one
-    that does not normalize; return how many were unmappable."""
+def _answers(surfaces: list[str], table: NormalizationTable) -> tuple[list[str], int]:
+    """Each surface's answer, shorter than two letters for one that does not
+    normalize, and how many surfaces were unmappable.
+
+    Under a 'skip' table with single-character keys, when no surface is
+    empty, the surfaces are joined with ``"\\n"`` and translated in one call;
+    each surface that holds a non-ASCII character then gets its own
+    :func:`normalize` call. Every surface gets its own call instead under any
+    other table, or when a surface holds ``"\\n"``.
+    """
+    answers: list[str] = []
+    if table._pattern is None and table.drop_policy == SKIP and all(surfaces):
+        # str.translate takes its fast path only on an all-ASCII string, so
+        # the non-ASCII characters are dropped here; their surfaces are redone.
+        joined = "\n".join(surfaces).encode("ascii", "ignore").decode("ascii")
+        answers = joined.translate(table._codes).split("\n")
+    if len(answers) == len(surfaces):
+        redo: Iterable[str] = filterfalse(str.isascii, surfaces)
+    else:
+        answers = [""] * len(surfaces)
+        redo = surfaces
     unmappable = 0
     find = surfaces.index
     i = -1
@@ -317,33 +307,7 @@ def _normalize_each(
         except UnmappableCharacterError:
             answers[i] = ""
             unmappable += 1
-    return unmappable
-
-
-def _answers(surfaces: list[str], table: NormalizationTable) -> tuple[list[str], int]:
-    """Each surface's answer, shorter than two letters for one that does not
-    normalize, and how many surfaces were unmappable.
-
-    The surfaces are joined with ``"\n"`` and translated in one call; each
-    surface that holds a non-ASCII character then gets its own
-    :func:`normalize` call. Every surface gets its own call instead under a
-    table with multi-character keys, when a surface is empty or holds
-    ``"\n"``, or when a 'reject' table raises on the joined surfaces.
-    """
-    codes = table._batch_codes
-    if codes is not None and all(surfaces):
-        # str.translate takes its fast path only on an all-ASCII string, so
-        # the non-ASCII characters are dropped here; their surfaces are redone.
-        joined = "\n".join(surfaces).encode("ascii", "ignore").decode("ascii")
-        try:
-            answers = joined.translate(codes).split("\n")
-        except UnmappableCharacterError:
-            answers = []
-        if len(answers) == len(surfaces):
-            redo = filterfalse(str.isascii, surfaces)
-            return answers, _normalize_each(surfaces, answers, redo, table)
-    answers = [""] * len(surfaces)
-    return answers, _normalize_each(surfaces, answers, surfaces, table)
+    return answers, unmappable
 
 
 def ingest_records(

@@ -45,6 +45,11 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
+# A sweep and a generate run whose input files are all missing.
+SWEEP_MISSING = ["sweep", "--patterns", "missing.txt", "--lexicon", "missing.txt"]
+GENERATE_MISSING = ["generate", "--pattern", "missing.txt", "--lexicon", "missing.txt"]
+
+
 # A well-formed one-slot puzzle but for its ratio: json.loads accepts NaN, JSON does not.
 NAN_RATIO_PUZZLE = (
     '{"pattern": "..", "entries": [{"slot_id": 0, "orientation": "across", '
@@ -217,17 +222,45 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: jobs must be >= 1, got {jobs}\n"
 
     @pytest.mark.parametrize(
-        "flag, message",
-        [("--jobs", "jobs must be >= 1"), ("--trials", "trials_per_cell must be >= 1")],
+        "argv, message",
+        [
+            pytest.param(
+                [*SWEEP_MISSING, "--node-budget", "10", "--jobs", "0"], "jobs must be >= 1",
+                id="--jobs-jobs must be >= 1",
+            ),
+            pytest.param(
+                [*SWEEP_MISSING, "--node-budget", "10", "--trials", "0"],
+                "trials_per_cell must be >= 1",
+                id="--trials-trials_per_cell must be >= 1",
+            ),
+            # the seeded patterns are drawn before the lexicon is read
+            pytest.param(
+                ["sweep", "--size", "2x2", "--black-counts", "4", "--lexicon", "missing.txt"],
+                "n_black must be in [0, 4)",
+                id="--black-counts-n_black must be in [0, 4)",
+            ),
+            pytest.param(
+                [*GENERATE_MISSING, "--node-budget", "0"], "node_budget must be >= 1",
+                id="--node-budget-node_budget must be >= 1",
+            ),
+            pytest.param(
+                [*GENERATE_MISSING, "--time-limit", "0"],
+                "time_limit and restart_interval must be positive",
+                id="--time-limit-time_limit and restart_interval must be positive",
+            ),
+            pytest.param(
+                [*GENERATE_MISSING, "--time-limit", "5", "--restart-interval", "10"],
+                "restart_interval must not exceed time_limit",
+                id="--restart-interval-restart_interval must not exceed time_limit",
+            ),
+        ],
     )
     def test_sweep_run_arguments_checked_before_any_file_is_read(
-        self, workdir, capsys, flag, message
+        self, workdir, monkeypatch, capsys, argv, message
     ):
-        out = workdir / "records.csv"
-        code = run(
-            ["sweep", "--patterns", workdir / "missing.txt", "--lexicon",
-             workdir / "missing.txt", "--node-budget", "10", flag, "0", "--out", out]
-        )
+        monkeypatch.chdir(workdir)
+        out = workdir / "out.txt"
+        code = run([*argv, "--out", out])
         # a usage error (2), not the missing files' data error (3)
         assert code == 2
         assert not out.exists()

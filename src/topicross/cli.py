@@ -190,11 +190,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         print(f"generation failed: {result.status.value}", file=sys.stderr)
         return EXIT_FAILURE
     pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
-    text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free)
+    text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     return EXIT_OK
 
 

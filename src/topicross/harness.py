@@ -4,14 +4,16 @@ One record per (pattern, target rate, trial). With early stopping, a pattern
 drops out of the sweep after the first rate at which every trial fails, which
 mirrors how generation budgets are probed in practice; summaries count the
 skipped cells as failures.
+
+``csv``, ``statistics`` and the process pool are imported inside the
+functions that use them: every CLI command imports this module, and at
+module level they would add about a third to the CLI's start-up, most of
+it multiprocessing's.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -158,6 +160,8 @@ def run_sweep(
     if patterns is None:
         patterns = default_sweep_patterns(config)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_pool_init, initargs=(index, config)
         ) as pool:
@@ -171,6 +175,8 @@ def run_sweep(
 
 def five_number(values: Sequence[float]) -> dict[str, float]:
     """min/q1/median/q3/max with linear interpolation."""
+    import statistics
+
     data = sorted(values)
     if len(data) == 1:
         v = data[0]
@@ -244,6 +250,8 @@ def summarize(records: Sequence[ExperimentRecord]) -> SweepSummary:
 
 
 def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -259,6 +267,8 @@ def write_records_csv(records: Sequence[ExperimentRecord], path: str | Path) -> 
 
 
 def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
+    import csv
+
     rows = list(csv.reader(io.StringIO(read_text(path))))
     if not rows:
         raise SchemaMismatchError(f"{path}: empty file")

@@ -382,11 +382,14 @@ def ingest_lexicon(
     :func:`ingest_records`, which keeps only the answers it accepts when it
     is set. The records built here hold no reference cycles, so the cyclic
     collector is paused meanwhile: each collection the load would set off
-    could free nothing.
+    could free nothing. The record list is bound to no name here, so it and
+    the records ``keep`` drops are freed when :func:`ingest_records` returns,
+    still inside the pause, not in the first collection after it.
     """
     with gc_paused():
-        records = [record for path in paths for record in read_lexicon_file(path)]
-        return ingest_records(records, table, keep)
+        return ingest_records(
+            [record for path in paths for record in read_lexicon_file(path)], table, keep
+        )
 
 
 class WordIndex:

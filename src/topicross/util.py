@@ -10,7 +10,6 @@ import json
 import math
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
@@ -149,13 +148,16 @@ def gc_paused() -> Iterator[None]:
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write text to ``path`` via a temp file + rename.
 
+    The temp file ``.{name}.{random hex}`` is created beside ``path`` with
+    mode 0666 less the umask, the mode a plain ``open`` gives a new file.
     The target never holds partial output: on error the temp file is
     removed and the destination is untouched. An ``OSError`` names ``path``,
     not the temp file, which the caller never sees.
     """
     path = Path(path)
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent or ".", prefix=f".{path.name}.")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:

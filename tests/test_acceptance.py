@@ -42,7 +42,7 @@ FILLER_LENGTHS = (2, 3, 4, 5, 6, 7)
 
 # sha256 of criterion 6's seeded puzzle JSON and sweep CSV. A change that
 # alters either output on purpose updates these and says why in CHANGES.md.
-CRITERION_6_PUZZLE_SHA256 = "c080cca8b35f1e1a4dd9d150629f150a5947ce2029e2cea5de689b4e3b9b949f"
+CRITERION_6_PUZZLE_SHA256 = "81fce90712d6731ed7aebaa60bf98c50bda7124cbe079818a86460b8ea8e1491"
 CRITERION_6_SWEEP_SHA256 = "8a83befd407dc8bb4064a42e27a991d27c8586d1e4fbe9e201569893235e6317"
 
 

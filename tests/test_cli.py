@@ -771,6 +771,19 @@ class TestDeterminism:
         assert run(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_generate_out_holds_the_bytes_of_stdout(self, workdir, capsys):
+        args = [
+            "generate", "--size", "5x5", "--black", "5",
+            "--lexicon", workdir / "filler.txt",
+            "--target-rate", "0", "--node-budget", "50000", "--seed", "21",
+        ]
+        out = workdir / "pz.json"
+        assert run(args) == 0
+        stdout = capsys.readouterr().out
+        assert run(args + ["--out", out]) == 0
+        assert out.read_bytes() == stdout.encode("utf-8")
+        assert stdout.endswith("}\n")
+
     def test_generate_ignores_answer_lengths_the_grid_lacks(self, workdir):
         # Slots of lengths 2 and 3 only; the full lists also hold 4- and
         # 5-letter words, among them every topic answer.

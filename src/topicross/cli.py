@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from . import grid, harness, lexicon, pipeline, puzzle, solver
-from .util import DataError, atomic_write_text, derive_seed, read_text
+from .util import DataError, atomic_write_text, derive_seed, gc_paused, read_text
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -139,11 +139,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         extractor: pipeline.KeywordFinder = pipeline.PreTaggedExtractor()
     else:
         extractor = pipeline.GazetteerExtractor(lexicon.read_word_list(args.gazetteer))
-    corpus = pipeline.read_corpus_jsonl(args.corpus)
-    result = pipeline.build_topic_lexicon(
-        corpus, extractor, table, args.mask, args.min_clue_chars
-    )
-    text = lexicon.write_lexicon_jsonl(result.records)
+    # The corpus, its occurrences and the records make no reference cycles,
+    # so collections during the run would free nothing; the corpus is freed
+    # inside the pause, when build_topic_lexicon returns.
+    with gc_paused():
+        result = pipeline.build_topic_lexicon(
+            pipeline.read_corpus_jsonl(args.corpus), extractor, table, args.mask,
+            args.min_clue_chars,
+        )
+        text = lexicon.write_lexicon_jsonl(result.records)
     if args.out:
         atomic_write_text(args.out, text)
     else:

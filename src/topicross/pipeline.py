@@ -12,11 +12,11 @@ is, and ``write_lexicon_jsonl`` writes it to a lexicon file.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .lexicon import (
     DEFAULT_TABLE,
@@ -49,8 +49,9 @@ class Document:
     pre_tagged_keywords: tuple[tuple[str, int, int], ...] | None = None
 
 
-@dataclass(frozen=True)
-class KeywordOccurrence:
+class KeywordOccurrence(NamedTuple):
+    """One keyword match and the span of the sentences that hold it."""
+
     surface: str
     doc_id: str
     char_start: int
@@ -80,7 +81,6 @@ class PreTaggedExtractor:
                     f"{doc.text[start:end]!r}, tag says {surface!r}"
                 )
             out.append((surface, start, end))
-        out.sort(key=lambda t: (t[1], t[2]))
         return out
 
 
@@ -116,36 +116,39 @@ def sentence_spans(text: str) -> list[tuple[int, int]]:
     return spans
 
 
+_OFFSETS = itemgetter(1, 2)
+
+
 def _enclosing_span(spans: Sequence[tuple[int, int]], start: int, end: int) -> tuple[int, int]:
     """Smallest run of sentence spans covering [start, end).
 
-    Spans are sorted and disjoint: only the last one starting at or before
-    ``start`` can hold it, and only the first one ending at or after ``end``."""
-    i = bisect_right(spans, start, key=itemgetter(0)) - 1
-    j = bisect_left(spans, end, key=itemgetter(1))
-    if i < 0 or start >= spans[i][1] or j == len(spans) or spans[j][0] >= end:
+    Spans are non-empty, sorted and disjoint: only the last one starting at
+    or before ``start`` can hold it, and only the last one starting before
+    ``end`` can hold ``end - 1``. Both are found by comparing the span tuples
+    themselves, with no key function: ``(s, e) < (x,)`` exactly when ``s < x``."""
+    i = bisect_left(spans, (start + 1,)) - 1
+    j = bisect_left(spans, (end,)) - 1
+    if i < 0 or start >= spans[i][1] or j < 0 or spans[j][1] < end:
         raise OffsetOutOfRangeError(f"offsets ({start}, {end}) not inside any sentence")
     return spans[i][0], spans[j][1]
 
 
 def extract_keywords(doc: Document, extractor: KeywordFinder) -> list[KeywordOccurrence]:
-    """Run the extractor and attach enclosing-sentence spans, in document order."""
+    """Run the extractor and attach enclosing-sentence spans, in document order.
+
+    This is the one place occurrences are ordered: by ``(char_start,
+    char_end)``, matches with equal offsets in the extractor's order."""
     if not doc.text:
         raise DataError(f"{doc.doc_id}: document text is empty")
+    matches = sorted(extractor.find(doc), key=_OFFSETS)
+    if not matches:
+        return []
     spans = sentence_spans(doc.text)
-    occurrences = []
-    for surface, start, end in extractor.find(doc):
-        occurrences.append(
-            KeywordOccurrence(
-                surface=surface,
-                doc_id=doc.doc_id,
-                char_start=start,
-                char_end=end,
-                sentence_span=_enclosing_span(spans, start, end),
-            )
-        )
-    occurrences.sort(key=lambda o: (o.char_start, o.char_end))
-    return occurrences
+    doc_id = doc.doc_id
+    return [
+        KeywordOccurrence(surface, doc_id, start, end, _enclosing_span(spans, start, end))
+        for surface, start, end in matches
+    ]
 
 
 def generate_clue(
@@ -196,6 +199,11 @@ class PipelineResult:
     stats: PipelineStats
 
 
+# A hit is (doc_id, char_start, surface, clue_text).
+_OFFSETS_IN_CORPUS = itemgetter(0, 1)
+_CLUE_TEXT = itemgetter(3)
+
+
 def build_topic_lexicon(
     corpus: Sequence[Document],
     extractor: KeywordFinder,
@@ -220,8 +228,9 @@ def build_topic_lexicon(
     skipped_short_keywords = 0
     skipped_unmappable = 0
     for doc in corpus:
-        for occ in extract_keywords(doc, extractor):
-            occurrences += 1
+        occs = extract_keywords(doc, extractor)
+        occurrences += len(occs)
+        for occ in occs:
             try:
                 answer, clue_text = generate_clue(doc, occ, mask_token, table, min_chars)
             except SentenceTooShortError:
@@ -240,8 +249,8 @@ def build_topic_lexicon(
     records = []
     n_clues = 0
     for answer in sorted(per_answer):
-        hits = sorted(per_answer[answer], key=lambda h: (h[0], h[1]))
-        clues = tuple(dict.fromkeys(clue_text for *_, clue_text in hits))
+        hits = sorted(per_answer[answer], key=_OFFSETS_IN_CORPUS)
+        clues = tuple(dict.fromkeys(map(_CLUE_TEXT, hits)))
         n_clues += len(clues)
         records.append((hits[0][2], Source.TOPIC, clues))
 

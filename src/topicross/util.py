@@ -89,6 +89,9 @@ def text_lines(path: str | Path) -> list[str]:
     return read_text(path).split("\n")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     """``(where, document)`` for each non-blank line of a JSON Lines file.
 
@@ -98,22 +101,39 @@ def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     for lineno, line in enumerate(text_lines(path), 1):
         if stripped := line.strip():
             where = f"{path}:{lineno}"
+            # json.loads(stripped) without its per-call wrappers: a stripped
+            # line has no whitespace for them to skip
             try:
-                doc = json.loads(stripped)
+                doc, end = _raw_decode(stripped)
+                if end != len(stripped):
+                    raise json.JSONDecodeError("Extra data", stripped, end)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{where}: bad JSON: {exc}") from None
             yield where, doc
 
 
 def longest_first_pattern(keys: Iterable[str]) -> re.Pattern[str]:
-    """One alternation of the non-empty keys, longest first.
+    """One alternation of the non-empty keys that matches the longest key.
 
-    At each position the first branch that matches wins, which is the longest
-    matching key. With no keys the pattern never matches; an empty
-    alternation would match ``""`` everywhere.
+    The keys are grouped by first character, one branch per group
+    (``A(?:nother|n|)``), and each group's tails are tried longest first. A
+    position can only match in the group of its own character, and there the
+    first tail that matches gives the longest matching key. The groups are
+    the first level of an Aho-Corasick trie: the engine tries one branch per
+    position, not every key. With no keys the pattern never matches; an
+    empty alternation would match ``""`` everywhere.
     """
-    terms = sorted({key for key in keys if key}, key=len, reverse=True)
-    return re.compile("|".join(map(re.escape, terms)) or "(?!)")
+    groups: dict[str, list[str]] = {}
+    for key in {key for key in keys if key}:
+        groups.setdefault(key[0], []).append(key[1:])
+    branches = []
+    for first in sorted(groups):
+        tails = sorted(groups[first], key=len, reverse=True)
+        alternation = "|".join(map(re.escape, tails))
+        if len(tails) > 1:
+            alternation = f"(?:{alternation})"
+        branches.append(re.escape(first) + alternation)
+    return re.compile("|".join(branches) or "(?!)")
 
 
 def derive_seed(*parts: object) -> int:

@@ -44,6 +44,9 @@ FILLER_LENGTHS = (2, 3, 4, 5, 6, 7)
 # alters either output on purpose updates these and says why in CHANGES.md.
 CRITERION_6_PUZZLE_SHA256 = "81fce90712d6731ed7aebaa60bf98c50bda7124cbe079818a86460b8ea8e1491"
 CRITERION_6_SWEEP_SHA256 = "8a83befd407dc8bb4064a42e27a991d27c8586d1e4fbe9e201569893235e6317"
+# sha256 of the topic lexicon that ``ingest`` writes for the seeded corpus of
+# test_ingest_output_digest; the same rule applies.
+INGEST_SHA256 = "f7b0dee0dcb9897ab5cf37271c027fbcdd2e1f7a551493a3c80b89ed5e56373f"
 
 
 def criterion(number: int, description: str):
@@ -288,6 +291,48 @@ def test_criterion_6_cli_determinism(tmp_path):
     assert cli_main(sweep_args + ["--out", str(d)]) == 0
     assert c.read_bytes() == d.read_bytes()
     assert hashlib.sha256(c.read_bytes()).hexdigest() == CRITERION_6_SWEEP_SHA256
+
+
+# Terms that share a first letter, a term that is a prefix of another
+# (Nova/Nova-X), regex metacharacters (U.S., C++) and an accented term.
+INGEST_TERMS = [
+    "Atlas", "Aurora", "Arc", "Nova", "Nova-X", "U.S.", "Union", "C++", "Café", "Cairo",
+]
+INGEST_WORDS = (
+    "the report said officials in the capital praised plan for next year and "
+    "critics called it late while markets rose after talks with partners"
+).split()
+
+
+def test_ingest_output_digest(tmp_path):
+    rng = random.Random(25)
+    lines = []
+    for _ in range(40):
+        sentences = []
+        for _ in range(rng.randint(1, 4)):
+            words = rng.sample(INGEST_WORDS, rng.randint(4, 9))
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                words.insert(rng.randint(0, len(words)), rng.choice(INGEST_TERMS))
+            sentence = " ".join(words)
+            sentences.append(sentence[0].upper() + sentence[1:] + rng.choice(".!?"))
+        doc_id = f"doc-{rng.randrange(100):02d}"  # repeated and out of order
+        text = " ".join(sentences)
+        lines.append(json.dumps({"doc_id": doc_id, "text": text}, ensure_ascii=False))
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    terms = INGEST_TERMS[:]
+    rng.shuffle(terms)
+    gazetteer = tmp_path / "terms.txt"
+    gazetteer.write_text("# gazetteer\n" + "\n".join(terms) + "\n", encoding="utf-8")
+
+    args = ["ingest", "--corpus", str(corpus), "--gazetteer", str(gazetteer)]
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    assert cli_main(args + ["--out", str(a)]) == 0
+    assert cli_main(args + ["--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    surfaces = {json.loads(line)["surface"] for line in a.read_text("utf-8").splitlines()}
+    assert {"Nova", "Nova-X", "U.S.", "Café"} <= surfaces
+    assert hashlib.sha256(a.read_bytes()).hexdigest() == INGEST_SHA256
 
 
 @criterion(7, "pipeline emits exactly the expected keywords with leak-free clues")

@@ -150,7 +150,9 @@ def assert_matches_oracle(table, surface):
 # characters no drawn table maps; values may be empty or two characters long.
 # Either kind of table may hold the empty key, which must never match, and
 # "\n", which a 'skip' translate map otherwise keeps for the alphabet check.
-SURFACE_CHARS = "abcnAB-' \t\nßéΩж"
+# Regex metacharacters, also as the first character of a multi-character
+# key, check that the substitution pattern matches keys literally.
+SURFACE_CHARS = "abcnAB-' \t\nßéΩж.|(*^[\\"
 VALUE_CHARS = "ABCNÑΩЖ"
 single_key_tables = st.dictionaries(
     st.sampled_from(SURFACE_CHARS) | st.just(""), st.text(VALUE_CHARS, max_size=2), max_size=8

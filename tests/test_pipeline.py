@@ -12,6 +12,7 @@ from topicross.pipeline import (
     GazetteerExtractor,
     KeywordOccurrence,
     OffsetOutOfRangeError,
+    PipelineStats,
     PreTaggedExtractor,
     SentenceTooShortError,
     _enclosing_span,
@@ -25,8 +26,11 @@ from topicross.lexicon import (
     DEFAULT_TABLE,
     REJECT,
     Source,
+    TooShortError,
+    UnmappableCharacterError,
     ingest_lexicon,
     ingest_records,
+    normalize,
     write_lexicon_jsonl,
 )
 from topicross.util import DataError
@@ -119,12 +123,14 @@ def reference_enclosing_span(spans, start, end):
     return lo, hi
 
 
-# A small alphabet makes shared prefixes and duplicate terms common; "." and
-# "?" check that terms are matched literally. The whitespace characters mix
-# ASCII, C0/C1 separators and Unicode spaces.
-TERM_CHARS = "ab.?"
+# A small alphabet makes shared prefixes and duplicate terms common. The
+# regex metacharacters check that terms are matched literally, also as the
+# first character of a term, where the grouped pattern puts them outside the
+# group of tails. The whitespace characters mix ASCII, C0/C1 separators and
+# Unicode spaces.
+TERM_CHARS = "ab.?|([\\*^"
 WHITESPACE = " \t\n\x1c\x85\xa0\u3000"
-TEXT_CHARS = "ab" + "".join(sorted(DEFAULT_TERMINATORS)) + WHITESPACE
+TEXT_CHARS = "ab|([\\*^" + "".join(sorted(DEFAULT_TERMINATORS)) + WHITESPACE
 
 
 class TestScannerEquivalence:
@@ -159,6 +165,162 @@ class TestScannerEquivalence:
                 _enclosing_span(spans, start, end)
         else:
             assert _enclosing_span(spans, start, end) == expected
+
+
+def reference_build(corpus, find, table=DEFAULT_TABLE, mask_token=DEFAULT_MASK, min_chars=10):
+    """One loop per occurrence over the scanner oracles and the clue rule;
+    the oracle of ``build_topic_lexicon``. ``find(doc)`` gives the matches."""
+    if not corpus:
+        raise DataError("corpus must be non-empty")
+    hits = []  # (answer, doc_id, char_start, surface, clue_text)
+    occurrences = short_clues = short_keywords = unmappable = 0
+    for doc in corpus:
+        if not doc.text:
+            raise DataError(f"{doc.doc_id}: document text is empty")
+        spans = reference_sentence_spans(doc.text)
+        # document order; a stable sort keeps the finder's order on equal offsets
+        for surface, start, end in sorted(find(doc), key=lambda m: (m[1], m[2])):
+            occurrences += 1
+            lo, hi = reference_enclosing_span(spans, start, end)
+            sentence = doc.text[lo:hi].strip()
+            if surface not in sentence:
+                raise OffsetOutOfRangeError(f"{surface!r} not inside its sentence span")
+            clue_text = sentence.replace(surface, mask_token)
+            if len(clue_text.replace(mask_token, "").strip()) < min_chars:
+                short_clues += 1
+                continue
+            try:
+                answer = normalize(surface, table)
+            except TooShortError:
+                short_keywords += 1
+                continue
+            except UnmappableCharacterError:
+                unmappable += 1
+                continue
+            hits.append((answer, doc.doc_id, start, surface, clue_text))
+    records = []
+    for answer in sorted({hit[0] for hit in hits}):
+        mine = sorted((hit for hit in hits if hit[0] == answer), key=lambda h: (h[1], h[2]))
+        clues = []
+        for hit in mine:
+            if hit[4] not in clues:
+                clues.append(hit[4])
+        records.append((mine[0][3], Source.TOPIC, tuple(clues)))
+    stats = PipelineStats(
+        documents=len(corpus),
+        occurrences=occurrences,
+        records=len(records),
+        clues=sum(len(clues) for _, _, clues in records),
+        skipped_short_clues=short_clues,
+        skipped_short_keywords=short_keywords,
+        skipped_unmappable_keywords=unmappable,
+    )
+    return records, stats
+
+
+def build_outcome(build):
+    """``(records, stats)``, or the name of the data error raised."""
+    try:
+        result = build()
+    except DataError as exc:
+        return type(exc).__name__
+    return result if isinstance(result, tuple) else (result.records, result.stats)
+
+
+class ReferenceGazetteer:
+    """The gazetteer oracle as a keyword finder."""
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def find(self, doc):
+        return reference_find(self.terms, doc.text)
+
+
+class ReversedGazetteer(ReferenceGazetteer):
+    """The oracle's matches last to first, the first one found twice: a finder
+    whose matches are out of document order."""
+
+    def find(self, doc):
+        matches = super().find(doc)
+        return (matches + matches[:1])[::-1]
+
+
+# '-' is dropped by the default table and unmappable under 'reject'; a term
+# of one letter is too short. Texts are joined from words, terms and
+# sentence ends, so that clues of every length occur; NO_MATCH holds none of
+# the terms' letters.
+PIPELINE_TERM_CHARS = "abAé-"
+TEXT_PIECES = ["ab", "baa", "é", "-", " ", " ", ". ", "!\n", "? ", "."]
+NO_MATCH = "Quiet on the front, nothing new."
+tables = st.sampled_from([DEFAULT_TABLE, replace(DEFAULT_TABLE, drop_policy=REJECT)])
+
+
+def corpora(pieces):
+    """Lists of (doc_id, text); ids repeat and come out of order."""
+    text = st.lists(st.sampled_from(pieces), min_size=1, max_size=12).map("".join)
+    return st.lists(st.tuples(st.sampled_from(["d1", "d2", "d10"]), text), min_size=1, max_size=5)
+
+
+class TestBuildTopicLexiconOracle:
+    """``build_topic_lexicon``'s records and every stats field against the
+    reference loop. Doc ids repeat and are out of order; every corpus holds a
+    document with no match."""
+
+    @given(
+        terms=st.lists(st.text(PIPELINE_TERM_CHARS, min_size=1, max_size=3), max_size=6),
+        table=tables,
+        min_chars=st.integers(0, 5),
+        reverse=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_gazetteer(self, terms, table, min_chars, reverse, data):
+        docs = data.draw(corpora(TEXT_PIECES + terms))
+        corpus = [Document(doc_id, text) for doc_id, text in docs] + [Document("d0", NO_MATCH)]
+        oracle = ReversedGazetteer(terms) if reverse else ReferenceGazetteer(terms)
+        extractor = oracle if reverse else GazetteerExtractor(terms)
+        expected = build_outcome(
+            lambda: reference_build(corpus, oracle.find, table, min_chars=min_chars)
+        )
+        got = build_outcome(
+            lambda: build_topic_lexicon(corpus, extractor, table, min_chars=min_chars)
+        )
+        assert got == expected
+
+    @given(
+        docs=corpora(TEXT_PIECES),
+        table=tables,
+        min_chars=st.integers(0, 5),
+        tidy=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pre_tagged(self, docs, table, min_chars, tidy, data):
+        # A tidy tag holds two characters or more and neither starts nor ends
+        # in whitespace. Any other may fall in the gap between two sentences
+        # or outside its stripped sentence.
+        corpus = []
+        for doc_id, text in docs:
+            offsets = [
+                (start, end)
+                for start in range(len(text))
+                for end in range(start + 1, len(text) + 1)
+                if not tidy or len(text[start:end].strip()) == end - start > 1
+            ]
+            spans = data.draw(st.lists(st.sampled_from(offsets), max_size=3)) if offsets else []
+            tags = tuple((text[start:end], start, end) for start, end in spans)
+            corpus.append(Document(doc_id, text, tags))
+        corpus.append(Document("d0", NO_MATCH, ()))
+        expected = build_outcome(
+            lambda: reference_build(
+                corpus, lambda doc: doc.pre_tagged_keywords, table, min_chars=min_chars
+            )
+        )
+        got = build_outcome(
+            lambda: build_topic_lexicon(corpus, PreTaggedExtractor(), table, min_chars=min_chars)
+        )
+        assert got == expected
 
 
 class TestPreTagged:

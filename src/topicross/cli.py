@@ -185,16 +185,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
     slotset = grid.extract_slots(pattern)
     # The search and the clues read only answers of the grid's slot lengths.
     lengths = {slot.length for slot in slotset.slots}
-    lex = lexicon.ingest_lexicon(
-        args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
-    )
-    index = lexicon.build_index(lex)
-    result = solver.solve(slotset, index, config, maximize=args.max_topic)
-    if not result.success:
-        print(f"generation failed: {result.status.value}", file=sys.stderr)
-        return EXIT_FAILURE
-    pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
-    text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
+    # The lexicon, index and puzzle make no reference cycles, and each solver
+    # episode breaks its own, so a collection during the run would only walk
+    # the kept records; the json encoder's few cycles wait for a later one.
+    with gc_paused():
+        lex = lexicon.ingest_lexicon(
+            args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
+        )
+        index = lexicon.build_index(lex)
+        result = solver.solve(slotset, index, config, maximize=args.max_topic)
+        if not result.success:
+            print(f"generation failed: {result.status.value}", file=sys.stderr)
+            return EXIT_FAILURE
+        pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
+        text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
     if args.out:
         atomic_write_text(args.out, text)
     else:

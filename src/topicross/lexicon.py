@@ -7,6 +7,10 @@ in both keeps the topic tag. A lexicon record is one plain ``(surface, source,
 clues)`` tuple, and this module owns its JSON Lines format: both
 :func:`write_lexicon_jsonl` and :func:`read_lexicon_file` live here.
 
+The readers yield records lazily, and :func:`ingest_records` normalizes and
+merges them one slice at a time, so a load holds one block of lines, one
+slice of records and the records it keeps, however long its files are.
+
 Normalization maps a surface onto the grid alphabet with a
 :class:`NormalizationTable`: its keys substitute, longest first, and one
 alphabet check then drops or rejects every character left outside the
@@ -26,9 +30,9 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import compress, filterfalse, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .util import (
     DataError,
@@ -37,7 +41,7 @@ from .util import (
     json_field,
     json_lines,
     longest_first_pattern,
-    text_lines,
+    text_blocks,
 )
 
 
@@ -231,9 +235,19 @@ class Lexicon:
         return len(self.records)
 
 
+def _word_list(path: str | Path) -> Iterator[str]:
+    """The stripped non-blank lines of a plain word list, ``#`` comment lines
+    dropped, built one block of lines at a time (see :func:`text_blocks`)."""
+    return chain.from_iterable(
+        [word for word in map(str.strip, lines) if word and word[0] != "#"]
+        for lines in text_blocks(path)
+    )
+
+
 def read_word_list(path: str | Path) -> list[str]:
-    """The stripped non-blank lines of a plain word list, ``#`` comment lines dropped."""
-    return [word for word in map(str.strip, text_lines(path)) if word and word[0] != "#"]
+    """The words of a plain word list in one list: the surfaces that
+    :func:`read_lexicon_file` yields for it."""
+    return list(_word_list(path))
 
 
 def write_lexicon_jsonl(records: Iterable[Record]) -> str:
@@ -249,18 +263,22 @@ def write_lexicon_jsonl(records: Iterable[Record]) -> str:
     )
 
 
-def read_lexicon_file(path: str | Path) -> list[Record]:
-    """Read one lexicon source file.
+def read_lexicon_file(path: str | Path) -> Iterator[Record]:
+    """The records of one lexicon source file, yielded lazily.
 
     ``.jsonl``/``.ndjson`` files hold one ``{"surface", "source", "clues"}``
     object per line; anything else is a plain word list (one filler surface
-    per line, ``#`` comments ignored).
+    per line, ``#`` comments ignored). The file is read when the iterator is
+    first advanced, and a malformed line raises :class:`DataError` when the
+    iterator reaches it, after the records before it.
     """
     path = Path(path)
     if path.suffix.lower() not in (".jsonl", ".ndjson"):
-        filler = Source.FILLER
-        return [(word, filler, ()) for word in read_word_list(path)]
-    records = []
+        return zip(_word_list(path), repeat(Source.FILLER), repeat(()))
+    return _jsonl_records(path)
+
+
+def _jsonl_records(path: Path) -> Iterator[Record]:
     for where, doc in json_lines(path):
         surface = json_field(doc, "surface", str, where)
         if not surface:
@@ -269,8 +287,7 @@ def read_lexicon_file(path: str | Path) -> list[Record]:
         clues = json_field(doc, "clues", list, where, [])
         if not all(isinstance(clue, str) for clue in clues):
             raise DataError(f"{where}: every 'clues' item must be a string")
-        records.append((surface, source, tuple(clues)))
-    return records
+        yield surface, source, tuple(clues)
 
 
 def _answers(surfaces: list[str], table: NormalizationTable) -> tuple[list[str], int]:
@@ -317,6 +334,8 @@ def ingest_records(
 ) -> Lexicon:
     """Normalize and deduplicate records into a Lexicon.
 
+    ``records`` is iterated once, ``_SLICE`` records at a time, so an
+    iterator such as :func:`read_lexicon_file`'s is never held whole.
     Collisions on the same answer keep the topic tag when either side has it,
     and union the clue lists in first-seen order. Records that fail
     normalization are skipped and counted, never fatal.
@@ -367,6 +386,9 @@ def ingest_records(
                 topic += 1
             clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
             merged[answer] = (kept_surface, kept_source, clues)
+        # Unbound here, the slice and its answers are freed before the next
+        # slice is read, not after: a load holds one slice, never two.
+        del chunk, answers, picked
     stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
     return Lexicon(records=merged, stats=stats)
 
@@ -380,16 +402,14 @@ def ingest_lexicon(
 
     Every file is read and validated in full; ``keep`` is passed to
     :func:`ingest_records`, which keeps only the answers it accepts when it
-    is set. The records built here hold no reference cycles, so the cyclic
-    collector is paused meanwhile: each collection the load would set off
-    could free nothing. The record list is bound to no name here, so it and
-    the records ``keep`` drops are freed when :func:`ingest_records` returns,
-    still inside the pause, not in the first collection after it.
+    is set. The files' records stream into :func:`ingest_records` as it
+    slices them, so a load holds one block of lines, one slice of records
+    and the records it keeps, never every record of its files. The records
+    built here hold no reference cycles, so the cyclic collector is paused
+    meanwhile: each collection the load would set off could free nothing.
     """
     with gc_paused():
-        return ingest_records(
-            [record for path in paths for record in read_lexicon_file(path)], table, keep
-        )
+        return ingest_records(chain.from_iterable(map(read_lexicon_file, paths)), table, keep)
 
 
 class WordIndex:

@@ -167,6 +167,14 @@ def generate_clue(
     is shorter than ``min_chars``, and :func:`normalize`'s errors when the
     surface has no usable answer.
     """
+    clue_text = _masked_sentence(doc, occ, mask_token, min_chars)
+    return normalize(occ.surface, table), clue_text
+
+
+def _masked_sentence(
+    doc: Document, occ: KeywordOccurrence, mask_token: str, min_chars: int
+) -> str:
+    """The clue text of :func:`generate_clue`, with its checks."""
     start, end = occ.sentence_span
     sentence = doc.text[start:end].strip()
     if occ.surface not in sentence:
@@ -179,7 +187,7 @@ def generate_clue(
         raise SentenceTooShortError(
             f"masked sentence keeps only {len(remainder)} characters (< {min_chars})"
         )
-    return normalize(occ.surface, table), clue_text
+    return clue_text
 
 
 @dataclass(frozen=True)
@@ -227,24 +235,35 @@ def build_topic_lexicon(
     skipped_short_clues = 0
     skipped_short_keywords = 0
     skipped_unmappable = 0
+    # Each distinct surface is normalized once, by the first generate_clue
+    # call that gets past its clue check; later occurrences only mask their
+    # sentence. A surface maps to its answer, or to the class of the error
+    # that normalizing it raised.
+    answers: dict[str, str | type[ValueError]] = {}
     for doc in corpus:
         occs = extract_keywords(doc, extractor)
         occurrences += len(occs)
         for occ in occs:
+            answer = answers.get(occ.surface)
             try:
-                answer, clue_text = generate_clue(doc, occ, mask_token, table, min_chars)
+                if answer is None:
+                    answer, clue_text = generate_clue(doc, occ, mask_token, table, min_chars)
+                else:
+                    clue_text = _masked_sentence(doc, occ, mask_token, min_chars)
             except SentenceTooShortError:
                 skipped_short_clues += 1
                 continue
-            except TooShortError:
+            except (TooShortError, UnmappableCharacterError) as exc:
+                answer = type(exc)
+            answers[occ.surface] = answer
+            if answer is TooShortError:
                 skipped_short_keywords += 1
-                continue
-            except UnmappableCharacterError:
+            elif answer is UnmappableCharacterError:
                 skipped_unmappable += 1
-                continue
-            per_answer.setdefault(answer, []).append(
-                (occ.doc_id, occ.char_start, occ.surface, clue_text)
-            )
+            else:
+                per_answer.setdefault(answer, []).append(
+                    (occ.doc_id, occ.char_start, occ.surface, clue_text)
+                )
 
     records = []
     n_clues = 0

@@ -12,6 +12,7 @@ import os
 import re
 from contextlib import contextmanager
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -79,14 +80,27 @@ def read_text(path: str | Path) -> str:
         raise DataError(f"{path}: not UTF-8 text: byte 0x{byte:02x}, {exc.reason}") from None
 
 
-def text_lines(path: str | Path) -> list[str]:
-    """The lines of :func:`read_text`.
+# Characters of decoded text that one block of lines spans, up to the end of
+# the line it stops in: a reader holds one block's lines at a time, never a
+# list of every line of its file.
+_BLOCK = 1 << 16
+
+
+def text_blocks(path: str | Path) -> Iterator[list[str]]:
+    """The lines of :func:`read_text`, in blocks of about ``_BLOCK`` characters.
 
     A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``. ``str.splitlines`` also
     breaks at U+0085, U+2028 and the other Unicode separators, which
     ``json.dumps(..., ensure_ascii=False)`` writes unescaped inside strings.
+    Each block ends where a line does, so the blocks' lines, in order, are
+    ``read_text(path).split("\\n")``.
     """
-    return read_text(path).split("\n")
+    text = read_text(path)
+    start = 0
+    while (end := text.find("\n", start + _BLOCK)) >= 0:
+        yield text[start:end].split("\n")
+        start = end + 1
+    yield text[start:].split("\n")
 
 
 _raw_decode = json.JSONDecoder().raw_decode
@@ -98,7 +112,7 @@ def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     ``where`` is ``path:line`` (1-based), the prefix of every error about that
     line; a line that is not JSON raises :class:`DataError` with it.
     """
-    for lineno, line in enumerate(text_lines(path), 1):
+    for lineno, line in enumerate(chain.from_iterable(text_blocks(path)), 1):
         if stripped := line.strip():
             where = f"{path}:{lineno}"
             # json.loads(stripped) without its per-call wrappers: a stripped

@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
@@ -11,7 +12,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from topicross import lexicon as lexicon_module
+from topicross import lexicon as lexicon_module, util
 from topicross.lexicon import (
     DEFAULT_TABLE,
     REJECT,
@@ -29,7 +30,7 @@ from topicross.lexicon import (
     read_lexicon_file,
     read_word_list,
 )
-from topicross.util import DataError
+from topicross.util import DataError, text_blocks
 
 
 def lex(records):
@@ -489,7 +490,7 @@ class TestLexiconFiles:
             '{"surface": "atoll"}\n',
             encoding="utf-8",
         )
-        records = read_lexicon_file(path)
+        records = list(read_lexicon_file(path))
         assert records[0] == ("liberal", Source.TOPIC, ("c1",))
         assert records[1] == ("atoll", Source.FILLER, ())
 
@@ -505,7 +506,7 @@ class TestLexiconFiles:
         ):
             path.write_text(text, encoding="utf-8")
             with pytest.raises(DataError) as err:
-                read_lexicon_file(path)
+                list(read_lexicon_file(path))
             assert str(err.value).startswith(f"{path}:{line}: ")
 
     def test_word_list_byte_order_mark(self, tmp_path):
@@ -520,7 +521,7 @@ class TestLexiconFiles:
     def test_jsonl_byte_order_mark(self, tmp_path):
         path = tmp_path / "topic.jsonl"
         path.write_text('\ufeff{"surface": "liberal", "source": "topic"}\n', encoding="utf-8")
-        assert read_lexicon_file(path) == [("liberal", Source.TOPIC, ())]
+        assert list(read_lexicon_file(path)) == [("liberal", Source.TOPIC, ())]
 
     def test_ingest_multiple_files(self, tmp_path):
         topic = tmp_path / "t.jsonl"
@@ -597,11 +598,78 @@ class TestWordListReader:
             path.write_bytes(data)
             words = read_word_list(path)
             assert words == split_word_list(data)
-            assert read_lexicon_file(path) == [(word, Source.FILLER, ()) for word in words]
+            assert list(read_lexicon_file(path)) == [(word, Source.FILLER, ()) for word in words]
         for line in lines:
             word = line.strip()
             if word and not word.startswith("#"):
                 assert word in words
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block=st.integers(1, 8),
+        lines=st.lists(st.text(st.sampled_from("ab# \t"), max_size=5), max_size=10),
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=10, max_size=10),
+        bom=st.booleans(),
+    )
+    # With blocks of two characters, the comment and the blank line after it
+    # each start a block.
+    @example(block=2, lines=["ab", "# c", "", "de"], ends=["\r\n"] * 10, bom=True)
+    @example(block=3, lines=["abc", "", "#", " ab "], ends=["\r", "\n"] * 5, bom=False)
+    def test_blocks_of_a_few_characters_match_one_split(self, block, lines, ends, bom):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        data = (("\ufeff" if bom else "") + text).encode("utf-8")
+        decoded = text.replace("\r\n", "\n").replace("\r", "\n")
+        expected = [w for w in map(str.strip, decoded.split("\n")) if w and w[0] != "#"]
+        with tempfile.TemporaryDirectory() as tmp, patch.object(util, "_BLOCK", block):
+            path = Path(tmp) / "words.txt"
+            path.write_bytes(data)
+            blocks = list(text_blocks(path))
+            assert read_word_list(path) == expected
+            assert list(read_lexicon_file(path)) == [(w, Source.FILLER, ()) for w in expected]
+        assert [line for block_lines in blocks for line in block_lines] == decoded.split("\n")
+        # every block but the last ends at the first line end at or after
+        # ``block`` characters
+        for block_lines in blocks[:-1]:
+            size = len("\n".join(block_lines))
+            assert size - len(block_lines[-1]) <= block <= size
+
+
+class TestLazyLoad:
+    def test_malformed_line_is_reported_after_the_records_before_it(self, tmp_path):
+        path = tmp_path / "topic.jsonl"
+        path.write_text(
+            '{"surface": "alpha"}\n{"surface": "beta", "source": "topic"}\n{nope\n'
+            '{"surface": "gamma"}\n',
+            encoding="utf-8",
+        )
+        records = read_lexicon_file(path)
+        assert next(records) == ("alpha", Source.FILLER, ())
+        assert next(records) == ("beta", Source.TOPIC, ())
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: bad JSON"):
+            next(records)
+
+    def test_load_holds_less_than_half_of_the_files_records(self, tmp_path):
+        rng = random.Random(26)
+        words = {
+            "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=rng.randint(3, 9)))
+            for _ in range(50_000)
+        }
+        path = tmp_path / "words.txt"
+        path.write_text("".join(f"{word}\n" for word in sorted(words)), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = list(read_lexicon_file(path))
+            held = tracemalloc.get_traced_memory()[0] - before
+            del records
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            lexicon = ingest_lexicon([path], keep=set().__contains__)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(lexicon) == 0 and lexicon.stats.skipped_short == 0
+        assert peak < held / 2, (peak, held)
 
 
 def canonical(entries):

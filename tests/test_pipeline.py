@@ -479,6 +479,26 @@ class TestBuildTopicLexicon:
         assert (stats.skipped_short_keywords, stats.skipped_unmappable_keywords) == (1, 1)
         assert stats.skipped_short_clues == 0
 
+    def test_each_distinct_surface_is_normalized_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            "topicross.pipeline.normalize",
+            lambda surface, table: calls.append(surface) or normalize(surface, table),
+        )
+        docs = [
+            Document("a", "Nova. The Nova rollout beat its schedule. Plan A beat it too."),
+            Document("b", "The Nova fleet and plan A both shipped this spring. A won."),
+        ]
+        result = build_topic_lexicon(docs, GazetteerExtractor(["Nova", "A"]))
+        # the first "Nova" has too short a clue, so it is counted as such and
+        # not normalized; both "A" with a long clue count as short keywords
+        assert sorted(calls) == ["A", "Nova"]
+        assert [(surface, len(clues)) for surface, _, clues in result.records] == [("Nova", 2)]
+        stats = result.stats
+        assert (stats.occurrences, stats.skipped_short_clues, stats.skipped_short_keywords) == (
+            6, 2, 2
+        )
+
     def test_other_errors_are_not_counted_as_skips(self):
         class Misplaced:
             def find(self, doc):

@@ -20,6 +20,14 @@ characters and translates the joined text in one call, because
 ``str.translate`` takes its ASCII fast path only on a string that is all
 ASCII; each surface that held a non-ASCII character then costs one
 :func:`normalize` call. Under any other table, each surface costs one call.
+
+:class:`WordIndex` builds the masks of one answer length from bit-planes: each
+letter gets its index in the length's sorted letters, one plane per bit of
+that index marks the answers whose letter at a position has the bit set, and
+splitting the full mask down the planes, highest bit first, leaves one mask
+per letter present at that position. A length with k letters costs
+``(k - 1).bit_length()`` translate passes over its answers' letters, not one
+per letter.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import json
 import operator
 import re
 import unicodedata
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, compress, filterfalse, islice, repeat
@@ -423,15 +432,22 @@ class WordIndex:
     mask of the answers with that letter there. :meth:`domain` ANDs the masks
     of some fixed letters; :meth:`candidates` and :meth:`count_matches` read a
     domain mask minus an ``excluded`` mask.
+
+    The masks of a length come from its bit-planes. Each letter of the length
+    gets its index in the sorted letters, and bit b's plane at a position is
+    the mask of the answers whose letter there has bit b set in its index: one
+    ``str.translate`` of the position's column per bit. Splitting the full
+    mask by each plane, highest bit first, into the answers with the bit clear
+    and set, and dropping empty halves, leaves exactly the letters present at
+    the position, each with its mask.
     """
 
     def __init__(self, lexicon: Lexicon):
-        topic: dict[int, list[str]] = {}
-        filler: dict[int, list[str]] = {}
+        topic: defaultdict[int, list[str]] = defaultdict(list)
+        filler: defaultdict[int, list[str]] = defaultdict(list)
         topic_tag = Source.TOPIC
         for answer, (_, source, _) in lexicon.records.items():
-            group = topic if source is topic_tag else filler
-            group.setdefault(len(answer), []).append(answer)
+            (topic if source is topic_tag else filler)[len(answer)].append(answer)
         self.by_length: dict[int, tuple[str, ...]] = {}
         self.topic_count: dict[int, int] = {}
         self.masks: dict[tuple[int, int, str], int] = {}
@@ -439,20 +455,40 @@ class WordIndex:
             topic_answers = sorted(topic.get(length, ()))
             answers = self.by_length[length] = (*topic_answers, *sorted(filler.get(length, ())))
             self.topic_count[length] = len(topic_answers)
-            # Column ``position`` of the answers, in rank order, is a slice of
-            # their concatenation. Translating it to one '1' per rank holding
-            # the letter and reversing it gives the mask in binary.
             joined = "".join(answers)
+            # The same sorted letters either way; 128 substring tests cost
+            # less than a set of every character.
+            if joined.isascii():
+                letters = [ch for ch in map(chr, range(128)) if ch in joined]
+            else:
+                letters = sorted(set(joined))
+            digits = [
+                {ord(ch): "01"[i >> bit & 1] for i, ch in enumerate(letters)}
+                for bit in range((len(letters) - 1).bit_length())
+            ]
+            top = len(joined) - length
+            full = (1 << len(answers)) - 1
             for position in range(length):
-                column = joined[position::length]
-                letters = sorted(set(column))
-                zeros = dict.fromkeys(map(ord, letters), "0")
-                for letter in letters:
-                    one_hot = {**zeros, ord(letter): "1"}
-                    # base 2 is exempt from int()'s limit on digit strings
-                    self.masks[length, position, letter] = int(
-                        column.translate(one_hot)[::-1], 2
-                    )
+                # Position p of rank i is joined[i * length + p], so this slice
+                # reads the column from the top rank down, and its translate by
+                # one bit's table is that bit's plane in binary (base 2 is
+                # exempt from int()'s limit on digit strings).
+                column = joined[top + position :: -length]
+                # (letter index, mask) parts, split highest bit first, so the
+                # leaves come out in letter order
+                parts = [(0, full)]
+                for bit in reversed(range(len(digits))):
+                    plane = int(column.translate(digits[bit]), 2)
+                    split = []
+                    for i, mask in parts:
+                        ones = mask & plane
+                        if ones != mask:
+                            split.append((i, mask ^ ones))
+                        if ones:
+                            split.append((i | 1 << bit, ones))
+                    parts = split
+                for i, mask in parts:
+                    self.masks[length, position, letters[i]] = mask
 
     def domain(self, length: int, fixed: Iterable[tuple[int, str]] = ()) -> int:
         """Mask of the length-``length`` answers with every fixed (position, letter)."""

@@ -3,9 +3,11 @@
 import gc
 import random
 import re
+import sys
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 from unittest.mock import patch
 
@@ -854,3 +856,114 @@ def _random_lexicon_index(seed):
     ]
     lexicon = ingest_records(records)
     return lexicon, build_index(lexicon)
+
+
+def reference_masks(index):
+    """Every mask by its definition, one translate of a column per letter."""
+    masks = {}
+    for length, pool in index.by_length.items():
+        joined = "".join(pool)
+        for position in range(length):
+            column = joined[position::length]
+            letters = sorted(set(column))
+            zeros = dict.fromkeys(map(ord, letters), "0")
+            for letter in letters:
+                one_hot = {**zeros, ord(letter): "1"}
+                masks[length, position, letter] = int(column.translate(one_hot)[::-1], 2)
+    return masks
+
+
+ASCII_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# The printable ASCII characters, "!" to "~": the ends of the ASCII range too
+ASCII_POOL = "".join(map(chr, range(33, 127)))
+# 24 Greek and 2 Cyrillic capitals: 26 letters, none of them ASCII
+NON_ASCII_LETTERS = "ΑΒΓΔΕΖΗΘΙΚΛΜΝΞΟΠΡΣΤΥΦΧΨΩЖЯ"
+# with Latin-1, CJK and astral code points
+NON_ASCII_POOL = NON_ASCII_LETTERS + "\x80éÿĀ中\U0001d538"
+# 1 letter needs no plane; 2, 3-4, 5-8, 9-16 and 17-26 letters need 1-5
+ALPHABET_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 26]
+
+
+def lexicon_of(words_by_source):
+    """A Lexicon whose answers are ``words_by_source``'s keys, unnormalized."""
+    records = {word: (word, source, ()) for word, source in words_by_source.items()}
+    topic = sum(source is Source.TOPIC for source in words_by_source.values())
+    return Lexicon(records=records, stats=IngestStats(topic, len(records) - topic))
+
+
+@st.composite
+def bit_plane_lexicons(draw):
+    """Lengths whose alphabets sit at the edges of the bit count, ASCII, non-ASCII
+    or mixed; pools of one answer up to past 64; some single-letter columns."""
+    words = {}
+    for length in draw(st.lists(st.integers(2, 7), min_size=1, max_size=3, unique=True)):
+        k = draw(st.sampled_from(ALPHABET_SIZES))
+        pool = draw(
+            st.sampled_from([ASCII_LETTERS, ASCII_POOL, NON_ASCII_POOL, ASCII_POOL + NON_ASCII_POOL])
+        )
+        letters = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+        # positions that hold one letter in every answer of the length
+        constant = draw(st.sets(st.integers(0, length - 1), max_size=length - 1))
+        free = [position for position in range(length) if position not in constant]
+        size = min(draw(st.sampled_from([1, 2, 63, 64, 65, 150])), k ** len(free))
+        topic_share = draw(st.sampled_from([0.0, 0.3, 1.0]))
+        rng = draw(st.randoms(use_true_random=False))
+        fixed = {position: rng.choice(letters) for position in constant}
+        for code in rng.sample(range(k ** len(free)), size):
+            word = dict(fixed)
+            for position in free:
+                code, digit = divmod(code, k)
+                word[position] = letters[digit]
+            answer = "".join(word[position] for position in range(length))
+            words[answer] = Source.TOPIC if rng.random() < topic_share else Source.FILLER
+    return lexicon_of(words)
+
+
+def product_words(letters, length, source=Source.FILLER):
+    return {"".join(word): source for word in product(letters, repeat=length)}
+
+
+class TestBitPlaneMasks:
+    """The bit-plane build of ``WordIndex.masks`` against one translate per
+    (length, position, letter)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lexicon=bit_plane_lexicons())
+    @example(
+        # one length ASCII, another not, each past 64 answers; a column of one letter
+        lexicon=lexicon_of(
+            {
+                **product_words("ABCDE", 3),
+                **product_words("ΑΒΓ", 4, Source.TOPIC),
+                **{"Ж" + word: Source.FILLER for word in product_words("AΩ", 6)},
+            }
+        )
+    )
+    @example(lexicon=lexicon_of({"QQ": Source.TOPIC}))
+    @example(lexicon=lexicon_of(product_words(ASCII_LETTERS, 2)))
+    @example(lexicon=lexicon_of(product_words(NON_ASCII_LETTERS[:17], 2)))
+    @example(lexicon=lexicon_of(product_words("!Zaz~", 3)))
+    def test_matches_one_translate_per_letter(self, lexicon):
+        index = build_index(lexicon)
+        assert index.masks == reference_masks(index)
+        assert_index_matches_definition(lexicon, index)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no limit on int() digit strings"
+    )
+    def test_masks_wider_than_the_int_digit_limit(self):
+        # base 2 is exempt from the limit; any other base would raise here
+        rng = random.Random(3)
+        words = rng.sample(sorted(product_words("ABCDEFGHIJ", 4)), 5_500)
+        lexicon = lexicon_of(
+            {word: Source.TOPIC if rng.random() < 0.2 else Source.FILLER for word in words}
+        )
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            index = build_index(lexicon)
+            assert index.masks == reference_masks(index)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(index.by_length[4]) == 5_500
+        assert_index_matches_definition(lexicon, index)

@@ -13,10 +13,10 @@ import functools
 import json
 import sys
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Any, Callable, TypeVar
 
 from . import grid, harness, lexicon, pipeline, puzzle, solver
-from .util import DataError, atomic_write_text, derive_seed, gc_paused, read_text
+from .util import DataError, atomic_write_text, derive_seed, gc_paused, read_json, read_text
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -66,19 +66,28 @@ def _parse_rate_list(value: str) -> tuple[int, ...]:
     return rates
 
 
-def _parse_file(path: str, parse: Callable[[str], T]) -> T:
-    """``parse`` of an input file's text; a malformed file is a DataError naming it."""
-    text = read_text(path)
+def _parse_file(path: str, parse: Callable[[Any], T], read: Callable = read_text) -> T:
+    """``parse`` of what ``read`` gives of an input file: its text, or its JSON
+    document with :func:`read_json`; a malformed file is a DataError naming it."""
+    contents = read(path)
     try:
-        return parse(text)
-    except (json.JSONDecodeError, DataError) as exc:
+        return parse(contents)
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from exc
 
 
 def _load_table(path: str | None) -> lexicon.NormalizationTable:
     if path is None:
         return lexicon.DEFAULT_TABLE
-    return _parse_file(path, lambda text: lexicon.NormalizationTable.from_json(json.loads(text)))
+    return _parse_file(path, lexicon.NormalizationTable.from_json, read_json)
+
+
+def _write_output(out: str | None, text: str) -> None:
+    """``text`` written atomically to the ``--out`` path, or to stdout without one."""
+    if out:
+        atomic_write_text(out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _check_output_dirs(*paths: str | None) -> None:
@@ -148,10 +157,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             args.min_clue_chars,
         )
         text = lexicon.write_lexicon_jsonl(result.records)
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text)
     print(
         f"ingest: {result.stats.records} records, {result.stats.clues} clues, "
         f"{result.stats.occurrences} occurrences "
@@ -170,10 +176,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
         height, width, args.black, args.count, seed=args.seed
     )
     text = grid.render_pattern_file(patterns)
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text)
     return EXIT_OK
 
 
@@ -185,9 +188,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     slotset = grid.extract_slots(pattern)
     # The search and the clues read only answers of the grid's slot lengths.
     lengths = {slot.length for slot in slotset.slots}
-    # The lexicon, index and puzzle make no reference cycles, and each solver
-    # episode breaks its own, so a collection during the run would only walk
-    # the kept records; the json encoder's few cycles wait for a later one.
+    # The lexicon, index, search and puzzle make no reference cycles, so a
+    # collection during the run would only walk the kept records; the json
+    # encoder's few cycles wait for a later one.
     with gc_paused():
         lex = lexicon.ingest_lexicon(
             args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
@@ -199,10 +202,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             return EXIT_FAILURE
         pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
         text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text)
     return EXIT_OK
 
 
@@ -255,7 +255,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pzl = _parse_file(args.puzzle, lambda text: puzzle.deserialize_puzzle(json.loads(text)))
+    pzl = _parse_file(args.puzzle, puzzle.deserialize_puzzle, read_json)
     # verify_puzzle reads only the records of the puzzle's answers, so no other is kept.
     answers = {entry.answer for entry in pzl.entries}
     lex = lexicon.ingest_lexicon(args.lexicon, _load_table(args.table), answers.__contains__)
@@ -270,12 +270,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     _check_output_dirs(args.out)
-    pzl = _parse_file(args.puzzle, lambda text: puzzle.deserialize_puzzle(json.loads(text)))
+    pzl = _parse_file(args.puzzle, puzzle.deserialize_puzzle, read_json)
     text = puzzle.render_text(pzl, include_solution=not args.solution_free)
-    if args.out:
-        atomic_write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_output(args.out, text)
     return EXIT_OK
 
 

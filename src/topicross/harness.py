@@ -159,11 +159,13 @@ def run_sweep(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if patterns is None:
         patterns = default_sweep_patterns(config)
-    if jobs > 1:
+    # one worker per pattern at most: a pool forks each of its workers
+    workers = min(jobs, len(patterns))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init, initargs=(index, config)
+            max_workers=workers, initializer=_pool_init, initargs=(index, config)
         ) as pool:
             chunks = list(pool.map(_pool_task, patterns))
     else:

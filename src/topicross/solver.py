@@ -1,9 +1,11 @@
 """Word-by-word grid filling under a topic quota.
 
 Depth-first backtracking over slots: most-constrained slot first, topic
-candidates before filler, seeded tie shuffling per restart episode. A fill
-succeeds only when every slot is assigned and at least ``target_rate`` percent
-of the placed answers are topic words. Episodes restart on a fixed cadence
+candidates before filler, seeded tie shuffling per restart episode. Each
+episode is one loop over an explicit trail of decisions, so only memory, not
+the recursion limit, bounds its depth. A fill succeeds only when every slot is
+assigned and at least ``target_rate`` percent of the placed answers are topic
+words. Episodes restart on a fixed cadence
 (wall-clock interval, or a node budget in deterministic mode) with fresh
 random states. An episode that exhausts its space ends the solve: a new
 random state only reorders the same search.
@@ -243,10 +245,6 @@ def _root_refuted(slotset: SlotSet, index: WordIndex, need: int) -> bool:
     return False
 
 
-class _EpisodeCut(Exception):
-    """Episode hit its node budget or deadline."""
-
-
 def _run_episode(
     slotset: SlotSet,
     index: WordIndex,
@@ -269,69 +267,69 @@ def _run_episode(
     crossings = slotset.crossings
     masks = index.masks
     state.domain = domain = [index.domain(slot.length) for slot in slots]
+    # One frame per assigned slot, root first: [slot_id, length, topic end,
+    # ranks left to try, rank placed, (slot_id, old domain) pairs it narrowed]
+    trail: list[list] = []
 
     # The capable bound: choose_next_slot refutes a node where topic_count
     # plus the capable open slots falls short of need. Domains only shrink
     # along a branch, so no fill below a refuted node meets need; a complete
     # fill in maximize mode raises need, and the same test cuts against it.
-    def dfs() -> bool:
+    while True:
         if len(state.assignment) == total:
-            if state.topic_count < state.need:
-                return False
-            state.best = dict(state.assignment)
-            state.need = state.topic_count + 1
-            return not maximize
-        picked = choose_next_slot(state, slotset, index)
-        if picked is None:
-            return False
-        # Each group is reshuffled: topic-first ordering stays intact, only
-        # the canonical order within a group is randomized.
-        sid, search = picked
-        slot = slots[sid]
-        pool = index.by_length.get(slot.length, ())
-        topic_end = index.topic_count.get(slot.length, 0)
-        ranks = index.candidates(search)
-        split = bisect_left(ranks, topic_end)
-        topic, filler = ranks[:split], ranks[split:]
-        rng.shuffle(topic)
-        rng.shuffle(filler)
-        for rank in topic + filler:
+            if state.topic_count >= state.need:
+                state.best = dict(state.assignment)
+                state.need = state.topic_count + 1
+                if not maximize:
+                    return Status.SUCCESS
+        elif (picked := choose_next_slot(state, slotset, index)) is not None:
+            # Each group is reshuffled: topic-first ordering stays intact,
+            # only the canonical order within a group is randomized.
+            sid, search = picked
+            length = slots[sid].length
+            topic_end = index.topic_count.get(length, 0)
+            ranks = index.candidates(search)
+            split = bisect_left(ranks, topic_end)
+            topic, filler = ranks[:split], ranks[split:]
+            rng.shuffle(topic)
+            rng.shuffle(filler)
+            trail.append([sid, length, topic_end, iter(topic + filler), None, ()])
+
+        # Backtrack to the deepest frame with a rank left, undoing each
+        # placement on the way, and place that rank.
+        while trail:
+            sid, length, topic_end, ranks, rank, saved = frame = trail[-1]
+            if rank is not None:
+                for other, old in reversed(saved):
+                    domain[other] = old
+                state.used[length] ^= 1 << rank
+                if rank < topic_end:
+                    state.topic_count -= 1
+                del state.assignment[sid]
+            rank = next(ranks, None)
+            if rank is None:
+                trail.pop()
+                continue
             if budget is not None and state.nodes_expanded >= budget:
-                raise _EpisodeCut
+                return Status.TIMEOUT
             if deadline is not None and time.monotonic() > deadline:
-                raise _EpisodeCut
+                return Status.TIMEOUT
             state.nodes_expanded += 1
 
-            state.assignment[sid] = answer = pool[rank]
+            state.assignment[sid] = answer = index.by_length[length][rank]
             if rank < topic_end:
                 state.topic_count += 1
-            state.used[slot.length] = state.used.get(slot.length, 0) | 1 << rank
+            state.used[length] = state.used.get(length, 0) | 1 << rank
             saved = []  # (slot id, its domain before this placement)
             for letter, link in zip(answer, crossings[sid]):
                 if link is not None and link[0] not in state.assignment:
                     other, pos = link
                     saved.append((other, domain[other]))
                     domain[other] &= masks.get((slots[other].length, pos, letter), 0)
-
-            if dfs():
-                return True
-
-            for other, old in reversed(saved):
-                domain[other] = old
-            state.used[slot.length] ^= 1 << rank
-            if rank < topic_end:
-                state.topic_count -= 1
-            del state.assignment[sid]
-        return False
-
-    try:
-        return Status.SUCCESS if dfs() else Status.EXHAUSTED
-    except _EpisodeCut:
-        return Status.TIMEOUT
-    finally:
-        # dfs reaches itself through its closure cell; breaking that cycle
-        # frees the episode's state now, not at the next cyclic collection.
-        del dfs
+            frame[4:] = rank, saved
+            break
+        else:
+            return Status.EXHAUSTED
 
 
 def solve(

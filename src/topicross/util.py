@@ -1,6 +1,6 @@
-"""Shared helpers: the data-error base class, JSON field checks, input-file
-reading, the longest-match pattern, stable seed derivation, a pause of the
-cyclic garbage collector and atomic file writes."""
+"""Shared helpers: the data-error base class, JSON decoding and field checks,
+input-file reading, the longest-match pattern, stable seed derivation, a pause
+of the cyclic garbage collector and atomic file writes."""
 
 from __future__ import annotations
 
@@ -106,6 +106,25 @@ def text_blocks(path: str | Path) -> Iterator[list[str]]:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+def _decode(text: str, where: str) -> object:
+    """The JSON document in ``text``, surrounding whitespace aside; bad syntax,
+    nesting past the recursion limit or an integer past the digit limit is a
+    :class:`DataError` prefixed with ``where``."""
+    try:
+        # json.loads without its per-call wrappers, positions counted in text
+        doc, end = _raw_decode(text, len(text) - len(text.lstrip()))
+        if text[end:].strip():
+            raise json.JSONDecodeError("Extra data", text, end)
+    except (ValueError, RecursionError) as exc:
+        raise DataError(f"{where}: bad JSON: {exc}") from None
+    return doc
+
+
+def read_json(path: str | Path) -> object:
+    """The JSON document of an input file; a DataError names ``path``."""
+    return _decode(read_text(path), str(path))
+
+
 def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     """``(where, document)`` for each non-blank line of a JSON Lines file.
 
@@ -115,15 +134,7 @@ def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     for lineno, line in enumerate(chain.from_iterable(text_blocks(path)), 1):
         if stripped := line.strip():
             where = f"{path}:{lineno}"
-            # json.loads(stripped) without its per-call wrappers: a stripped
-            # line has no whitespace for them to skip
-            try:
-                doc, end = _raw_decode(stripped)
-                if end != len(stripped):
-                    raise json.JSONDecodeError("Extra data", stripped, end)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: bad JSON: {exc}") from None
-            yield where, doc
+            yield where, _decode(stripped, where)
 
 
 def longest_first_pattern(keys: Iterable[str]) -> re.Pattern[str]:

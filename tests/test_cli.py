@@ -2,6 +2,7 @@
 
 import gc
 import json
+import sys
 
 import pytest
 
@@ -57,6 +58,25 @@ NAN_RATIO_PUZZLE = (
     '"metadata": {"target_rate": 0, "achieved_topic_ratio": NaN, "seed": 0, '
     '"elapsed_ms": 0, "restarts": 0}}'
 )
+
+
+# JSON the decoder cannot take: arrays nested past any recursion limit, and an
+# integer past the interpreter's digit limit for int(). The digit case needs a
+# limit below 5,000 digits: Python 3.10 releases before 3.10.7 have none, and
+# PYTHONINTMAXSTRDIGITS=0 turns it off.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT_JSON = "9" * 5_000
+NO_DIGIT_LIMIT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5_000,
+    reason="no int digit limit below 5,000 digits",
+)
+
+
+def undecodable_json_cases(kinds):
+    """A deeply nested and a 5,000-digit document of each kind of input file."""
+    for kind in kinds:
+        yield pytest.param(kind, DEEP_JSON, id=f"{kind}-deep-nesting")
+        yield pytest.param(kind, LONG_INT_JSON, id=f"{kind}-long-int", marks=NO_DIGIT_LIMIT)
 
 
 # Each output flag of each command; every input named here is missing, so a
@@ -449,10 +469,12 @@ class TestExitCodes:
             pytest.param("table", "{bad", id="table-bad-json"),
             pytest.param("render", '{"pattern": "..", "entries": [5]}', id="render-entry-int"),
             pytest.param("render", NAN_RATIO_PUZZLE, id="render-ratio-nan"),
+            *undecodable_json_cases(["corpus", "lexicon", "puzzle", "table", "render"]),
         ],
     )
     def test_malformed_input(self, workdir, capsys, kind, content):
-        bad = workdir / "bad"
+        # a lexicon file is read as JSON Lines only under a .jsonl suffix
+        bad = workdir / ("bad.jsonl" if kind == "lexicon" else "bad")
         if isinstance(content, bytes):
             bad.write_bytes(content)
         else:
@@ -465,12 +487,13 @@ class TestExitCodes:
             "puzzle": ["verify", "--puzzle", bad, "--lexicon", workdir / "filler.txt"],
             "table": ingest + ["--corpus", workdir / "corpus.jsonl", "--table", bad],
             "render": ["render", "--puzzle", bad],
+            "lexicon": ["generate", "--size", "3x3", "--black", "0", "--lexicon", bad],
         }[kind]
         assert run(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
-        if kind == "corpus" and not isinstance(content, bytes):
+        if kind in ("corpus", "lexicon") and not isinstance(content, bytes):
             assert err.startswith(f"error: {bad}:1: ")
         if kind in ("puzzle", "table", "render"):
             assert err.startswith(f"error: {bad}: ")

@@ -93,6 +93,40 @@ class TestRunSweep:
         parallel = run_sweep(config, small_index, jobs=2)
         assert parallel == sequential
 
+    @pytest.mark.parametrize("jobs, n_patterns, pool_size", [(4, 2, 2), (2, 3, 2), (4, 1, None)])
+    def test_pool_holds_at_most_one_worker_per_pattern(
+        self, small_index, monkeypatch, jobs, n_patterns, pool_size
+    ):
+        import concurrent.futures
+
+        from topicross import harness
+
+        sizes = []
+
+        class InProcessExecutor:
+            """Records ``max_workers`` and runs the tasks here, starting no process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+        monkeypatch.setattr(harness, "_POOL_INDEX", None)
+        monkeypatch.setattr(harness, "_POOL_CONFIG", None)
+        config = small_config()
+        patterns = generate_random_patterns(4, 4, 3, n_patterns, seed=11)
+        records = run_sweep(config, small_index, patterns=patterns, jobs=jobs)
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert records == run_sweep(config, small_index, patterns=patterns, jobs=1)
+
     def test_trials_per_cell(self, small_index):
         config = small_config(trials_per_cell=3, early_stop=False, t_values=(10,))
         records = run_sweep(config, small_index)

@@ -3,6 +3,7 @@
 import gc
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -412,6 +413,30 @@ class TestSolveSmall:
             gc.enable()
         assert outcomes == [Status.SUCCESS, Status.EXHAUSTED, Status.TIMEOUT]
         assert alive == []
+
+
+class TestDeepSearch:
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 36 blocks of 3x3 white cells: 216 slots, each one level deeper
+        side = 23
+        rows = ["#" * side if r % 4 == 3 else ("...#" * 6)[:side] for r in range(side)]
+        slotset = extract_slots(parse_pattern("\n".join(rows)))
+        _, index = make_lexicon(100, 1400, seed=5, alphabet="ABCDEFGHIJKLMNOP", lengths=(3,))
+        config = SolverConfig(target_rate=20, node_budget=5000, time_limit=10, restart_interval=10)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        headroom = 100
+        assert len(slotset.slots) > headroom
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + headroom)
+        try:
+            result = solve(slotset, index, config)
+        finally:
+            sys.setrecursionlimit(limit)
+        # one episode, 21 placements undone on the way to the fill
+        assert (result.status, result.nodes_expanded) == (Status.SUCCESS, 237)
+        assert len(result.assignment) == 216
 
 
 class TestRestarts:

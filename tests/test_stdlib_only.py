@@ -14,8 +14,8 @@ ALLOWED = {"topicross", "__mp_main__"}
 # Lists the top-level modules the import adds to those the interpreter
 # loaded at startup (site hooks may load non-stdlib modules of their own).
 # Then it runs the paths that import modules only when they are taken: a
-# two-job sweep, its summary and a records-CSV round trip through an atomic
-# write in the directory named by argv[1].
+# two-job sweep of two patterns, its summary and a records-CSV round trip
+# through an atomic write in the directory named by argv[1].
 PROBE = """
 import os, sys
 before = set(sys.modules)
@@ -25,8 +25,10 @@ from topicross import cli, grid, harness, lexicon, pipeline, puzzle, solver
 words = [(w, lexicon.Source.TOPIC, ()) for w in ("AB", "CD", "AC", "BD")]
 index = lexicon.build_index(lexicon.ingest_records(words))
 config = harness.SweepConfig(height=2, width=2, t_values=(0,), black_counts=(0,))
-records = harness.run_sweep(config, index, [grid.parse_pattern("..\\n..")], jobs=2)
-assert [r.success for r in records] == [True]
+# two patterns: a sweep of one pattern runs in process, whatever --jobs says
+patterns = [grid.parse_pattern("..\\n..", pattern_id) for pattern_id in ("p0", "p1")]
+records = harness.run_sweep(config, index, patterns, jobs=2)
+assert [r.success for r in records] == [True, True]
 harness.summarize(records)
 path = os.path.join(sys.argv[1], "records.csv")
 harness.write_records_csv(records, path)

@@ -246,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         summary = harness.summarize(records)
         if args.summary:
             atomic_write_text(
-                args.summary, json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
+                args.summary, json.dumps(summary, indent=2, sort_keys=True) + "\n"
             )
         if args.svg:
             harness.write_summary_svg(summary, args.svg)

@@ -2,8 +2,10 @@
 
 One record per (pattern, target rate, trial). With early stopping, a pattern
 drops out of the sweep after the first rate at which every trial fails, which
-mirrors how generation budgets are probed in practice; summaries count the
-skipped cells as failures.
+mirrors how generation budgets are probed in practice. :func:`summarize`
+turns the records into the summary JSON document, grouped by target rate and
+by black-cell count, where a skipped cell counts as a failure;
+:func:`summary_svg` charts its target-rate groups.
 
 ``csv``, ``statistics`` and the process pool are imported inside the
 functions that use them: every CLI command imports this module, and at
@@ -187,68 +189,42 @@ def five_number(values: Sequence[float]) -> dict[str, float]:
     return {"min": data[0], "q1": q1, "median": median, "q3": q3, "max": data[-1]}
 
 
-@dataclass(frozen=True)
-class GroupSummary:
-    n_cells: int
-    successes: int
-    probability: float
-    time_ms: dict[str, float] | None
+def summarize(records: Sequence[ExperimentRecord]) -> dict[str, dict[str, dict]]:
+    """The summary JSON document: per target rate and per black-cell count,
+    ``{"n_cells", "successes", "probability", "time_ms"}``, with ``time_ms``
+    the :func:`five_number` summary of the group's successes, or ``None``.
+    Group keys are strings, as in the file, in numeric order.
 
-
-@dataclass(frozen=True)
-class SweepSummary:
-    by_target_rate: dict[int, GroupSummary]
-    by_black_count: dict[int, GroupSummary]
-
-    def to_dict(self) -> dict:
-        def dump(groups: dict[int, GroupSummary]) -> dict:
-            return {
-                str(key): {
-                    "n_cells": g.n_cells,
-                    "successes": g.successes,
-                    "probability": g.probability,
-                    "time_ms": g.time_ms,
-                }
-                for key, g in sorted(groups.items())
-            }
-
-        return {
-            "by_target_rate": dump(self.by_target_rate),
-            "by_black_count": dump(self.by_black_count),
-        }
-
-
-def _group(records: Sequence[ExperimentRecord], n_cells: int) -> GroupSummary:
-    """Successes and success-time quantiles of ``records`` over ``n_cells`` cells."""
-    times = [r.time_ms for r in records if r.success]
-    return GroupSummary(
-        n_cells=n_cells,
-        successes=len(times),
-        probability=len(times) / n_cells,
-        time_ms=five_number(times) if times else None,
-    )
-
-
-def summarize(records: Sequence[ExperimentRecord]) -> SweepSummary:
-    """Success probability and generation-time quantiles per target rate and
-    per black-cell count.
-
-    Every (pattern, trial) cell seen anywhere in the records counts once per
-    rate seen anywhere: a cell missing at some rate was early-stopped, and an
-    early-stopped cell is a known failure.
+    Every (pattern, trial) cell seen in the records is due once at every rate
+    seen, and a group counts its due (cell, rate) pairs. A due pair with no
+    record was early-stopped, and an early-stopped cell is a known failure.
     """
     if not records:
         raise EmptyInputError("no records to summarize")
 
     rates = sorted({r.t for r in records})
-    n_cells = len({(r.pattern_id, r.trial) for r in records})
-    by_rate = {t: _group([r for r in records if r.t == t], n_cells) for t in rates}
-    by_black = {}
-    for n_black in sorted({r.n_black for r in records}):
-        recs = [r for r in records if r.n_black == n_black]
-        cells = {(r.pattern_id, r.trial) for r in recs}
-        by_black[n_black] = _group(recs, len(cells) * len(rates))
-    return SweepSummary(by_target_rate=by_rate, by_black_count=by_black)
+    black = {(r.pattern_id, r.trial): r.n_black for r in records}
+    success_ms = {(r.pattern_id, r.trial, r.t): r.time_ms for r in records if r.success}
+    # (n_black, rate, time of the success or None) per due pair
+    due = [(n, t, success_ms.get((*cell, t))) for cell, n in black.items() for t in rates]
+
+    def group(axis: int) -> dict[str, dict]:
+        """One group per value of field ``axis`` of the due pairs."""
+        groups: dict[int, list[int | None]] = {}
+        for pair in due:
+            groups.setdefault(pair[axis], []).append(pair[2])
+        summary = {}
+        for key, pairs in sorted(groups.items()):
+            times = [ms for ms in pairs if ms is not None]
+            summary[str(key)] = {
+                "n_cells": len(pairs),
+                "successes": len(times),
+                "probability": len(times) / len(pairs),
+                "time_ms": five_number(times) if times else None,
+            }
+        return summary
+
+    return {"by_target_rate": group(1), "by_black_count": group(0)}
 
 
 def records_to_csv(records: Sequence[ExperimentRecord]) -> str:
@@ -292,18 +268,17 @@ def read_records_csv(path: str | Path) -> list[ExperimentRecord]:
     return records
 
 
-def _polyline(points: list[tuple[float, float]]) -> str:
-    return " ".join(f"{x:.1f},{y:.1f}" for x, y in points)
-
-
-def summary_svg(summary: SweepSummary) -> str:
-    """A small two-panel chart: success probability and median time by target rate.
+def summary_svg(summary: dict[str, dict[str, dict]]) -> str:
+    """A small two-panel chart of a :func:`summarize` document: success
+    probability and median time over successes, by target rate.
 
     Intentionally dependency-free; the CSV stays the canonical output.
     """
     width, panel_h, pad = 640, 200, 45
     height = 2 * panel_h + 3 * pad
-    rates = sorted(summary.by_target_rate)
+    # numeric order: a file's keys sort as text, "100" before "20"
+    groups = dict(sorted((int(t), g) for t, g in summary["by_target_rate"].items()))
+    rates = list(groups)
     if len(rates) < 2:
         x_of = lambda t: width / 2  # noqa: E731
     else:
@@ -312,54 +287,37 @@ def summary_svg(summary: SweepSummary) -> str:
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="11">',
-        f'<text x="{pad}" y="{pad - 25}">success probability by target rate</text>',
+        f'font-family="sans-serif" font-size="11">'
     ]
 
-    prob_points = []
-    for t in rates:
-        p = summary.by_target_rate[t].probability
-        prob_points.append((x_of(t), pad + (1.0 - p) * panel_h))
-    parts.append(
-        f'<rect x="{pad}" y="{pad}" width="{width - 2 * pad}" height="{panel_h}" '
-        'fill="none" stroke="#999"/>'
-    )
-    parts.append(
-        f'<polyline points="{_polyline(prob_points)}" fill="none" stroke="#1f77b4" '
-        'stroke-width="2"/>'
-    )
-    for (x, y), t in zip(prob_points, rates):
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#1f77b4"/>')
-        parts.append(f'<text x="{x:.1f}" y="{pad + panel_h + 14}" text-anchor="middle">{t}</text>')
-
-    medians = {
-        t: summary.by_target_rate[t].time_ms["median"]
-        for t in rates
-        if summary.by_target_rate[t].time_ms
-    }
-    y0 = 2 * pad + panel_h
-    parts.append(f'<text x="{pad}" y="{y0 - 25}">median time (ms) over successes</text>')
-    parts.append(
-        f'<rect x="{pad}" y="{y0}" width="{width - 2 * pad}" height="{panel_h}" '
-        'fill="none" stroke="#999"/>'
-    )
-    if medians:
-        top = max(medians.values()) or 1.0
-        time_points = [
-            (x_of(t), y0 + (1.0 - medians[t] / top) * panel_h) for t in sorted(medians)
-        ]
+    def panel(top: int, title: str, heights: dict[int, float], color: str) -> None:
+        """A framed panel with a point per rate in ``heights``, each in [0, 1]."""
+        points = [(x_of(t), top + (1.0 - h) * panel_h, t) for t, h in heights.items()]
+        parts.append(f'<text x="{pad}" y="{top - 25}">{title}</text>')
         parts.append(
-            f'<polyline points="{_polyline(time_points)}" fill="none" stroke="#d62728" '
-            'stroke-width="2"/>'
+            f'<rect x="{pad}" y="{top}" width="{width - 2 * pad}" height="{panel_h}" '
+            'fill="none" stroke="#999"/>'
         )
-        for (x, y), t in zip(time_points, sorted(medians)):
-            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="#d62728"/>')
+        if points:
+            line = " ".join(f"{x:.1f},{y:.1f}" for x, y, _ in points)
             parts.append(
-                f'<text x="{x:.1f}" y="{y0 + panel_h + 14}" text-anchor="middle">{t}</text>'
+                f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="2"/>'
             )
+        for x, y, t in points:
+            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="{color}"/>')
+            parts.append(
+                f'<text x="{x:.1f}" y="{top + panel_h + 14}" text-anchor="middle">{t}</text>'
+            )
+
+    probabilities = {t: g["probability"] for t, g in groups.items()}
+    panel(pad, "success probability by target rate", probabilities, "#1f77b4")
+    medians = {t: g["time_ms"]["median"] for t, g in groups.items() if g["time_ms"]}
+    longest = max(medians.values(), default=0) or 1.0
+    heights = {t: median / longest for t, median in medians.items()}
+    panel(2 * pad + panel_h, "median time (ms) over successes", heights, "#d62728")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def write_summary_svg(summary: SweepSummary, path: str | Path) -> None:
+def write_summary_svg(summary: dict[str, dict[str, dict]], path: str | Path) -> None:
     atomic_write_text(path, summary_svg(summary))

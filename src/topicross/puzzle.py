@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 
@@ -170,8 +171,8 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Validat
                     )
                 )
 
-    answers = [e.answer for e in puzzle.entries]
-    for answer in sorted({a for a in answers if answers.count(a) > 1}):
+    uses = Counter(e.answer for e in puzzle.entries)
+    for answer in sorted(a for a, n in uses.items() if n > 1):
         violations.append(Violation("duplicate-answer", f"{answer!r} used more than once"))
 
     topic = 0

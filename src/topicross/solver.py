@@ -395,7 +395,6 @@ def solve(
         if (max_episodes is not None and episodes >= max_episodes) or (
             not deterministic and time.monotonic() - started >= config.time_limit
         ):
-            outcome = Status.TIMEOUT
             break
 
     if deterministic:

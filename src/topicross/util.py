@@ -67,40 +67,47 @@ def enum_field(cls: type[Enum], doc: object, key: str, where: str, default: obje
         raise DataError(f"{where}: unknown {key} {value!r}") from None
 
 
+def _not_utf8(path: str | Path, exc: UnicodeDecodeError) -> DataError:
+    # exc.start counts from the decoder's chunk, not from the file's start
+    byte = exc.object[exc.start]
+    return DataError(f"{path}: not UTF-8 text: byte 0x{byte:02x}, {exc.reason}")
+
+
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 input file, the one place an input file is decoded:
-    a leading byte-order mark is dropped and line ends become ``\\n``. A file
-    that is not UTF-8 raises :class:`DataError` naming it.
+    """The text of a UTF-8 input file: a leading byte-order mark is dropped and
+    line ends become ``\\n``. A file that is not UTF-8 raises
+    :class:`DataError` naming it.
     """
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        # exc.start counts from the decoder's chunk, not from the file's start
-        byte = exc.object[exc.start]
-        raise DataError(f"{path}: not UTF-8 text: byte 0x{byte:02x}, {exc.reason}") from None
+        raise _not_utf8(path, exc) from None
 
 
 # Characters of decoded text that one block of lines spans, up to the end of
 # the line it stops in: a reader holds one block's lines at a time, never a
-# list of every line of its file.
+# list of every line of its file, nor the file's whole text.
 _BLOCK = 1 << 16
 
 
 def text_blocks(path: str | Path) -> Iterator[list[str]]:
-    """The lines of :func:`read_text`, in blocks of about ``_BLOCK`` characters.
+    """The lines of :func:`read_text`, in blocks of about ``_BLOCK`` characters,
+    read from the file one block at a time.
 
     A line ends only at ``\\n``, ``\\r\\n`` or ``\\r``. ``str.splitlines`` also
     breaks at U+0085, U+2028 and the other Unicode separators, which
     ``json.dumps(..., ensure_ascii=False)`` writes unescaped inside strings.
     Each block ends where a line does, so the blocks' lines, in order, are
-    ``read_text(path).split("\\n")``.
+    ``read_text(path).split("\\n")`` less the empty string after a final line
+    end. A byte that is not UTF-8 raises :class:`DataError` once the lines
+    before its block have been yielded.
     """
-    text = read_text(path)
-    start = 0
-    while (end := text.find("\n", start + _BLOCK)) >= 0:
-        yield text[start:end].split("\n")
-        start = end + 1
-    yield text[start:].split("\n")
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            while block := fh.read(_BLOCK) + fh.readline():
+                yield block.removesuffix("\n").split("\n")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from None
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, determinism, atomic outputs."""
 
 import gc
+import hashlib
 import json
 import sys
 
@@ -856,6 +857,31 @@ class TestDeterminism:
         doc = json.loads(summary.read_text())
         assert "by_target_rate" in doc and "by_black_count" in doc
         assert svg.read_text().startswith("<svg")
+
+    def test_sweep_summary_and_svg_digests(self, workdir):
+        # Only 4x4-b4-000 meets T=30 and goes on to T=100; the other three
+        # patterns are early-stopped at 30 or 20, and those cells fail in the
+        # summary. Rate keys sort as text in the file: "10", "100", "20", "30".
+        topic = workdir / "topic.jsonl"
+        assert run(["ingest", "--corpus", workdir / "corpus.jsonl",
+                    "--gazetteer", workdir / "terms.txt", "--out", topic]) == 0
+        summary, svg = workdir / "summary.json", workdir / "chart.svg"
+        assert run([
+            "sweep", "--size", "4x4", "--black-counts", "4,6", "--patterns-per-count", "2",
+            "--t-values", "10,20,30,100", "--lexicon", topic, workdir / "filler.txt",
+            "--node-budget", "1000", "--time-limit", "60", "--restart-interval", "10",
+            "--seed", "5", "--out", workdir / "records.csv", "--summary", summary, "--svg", svg,
+        ]) == 0
+        doc = json.loads(summary.read_text())
+        assert list(doc["by_target_rate"]) == ["10", "100", "20", "30"]
+        assert doc["by_target_rate"]["100"]["n_cells"] == 4
+        assert doc["by_target_rate"]["100"]["time_ms"] is None
+        assert hashlib.sha256(summary.read_bytes()).hexdigest() == (
+            "46aa9764e2830294f3975feebcaf9c0422ac1d20d90bea26b410c321f41dac21"
+        )
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+            "e34bd43631be047a8c0ca1952ffc91f5dfc3c6f609ebc2c388e7d72b4c2ffe76"
+        )
 
 
 class TestParserReuse:

@@ -628,7 +628,9 @@ class TestWordListReader:
             blocks = list(text_blocks(path))
             assert read_word_list(path) == expected
             assert list(read_lexicon_file(path)) == [(w, Source.FILLER, ()) for w in expected]
-        assert [line for block_lines in blocks for line in block_lines] == decoded.split("\n")
+        # every line has an end, so the split's last item is the empty string
+        # after the final one, which the blocks do not hold
+        assert [line for block_lines in blocks for line in block_lines] == decoded.split("\n")[:-1]
         # every block but the last ends at the first line end at or after
         # ``block`` characters
         for block_lines in blocks[:-1]:

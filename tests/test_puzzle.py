@@ -186,6 +186,19 @@ class TestVerify:
             "no-white-cells"
         ]
 
+    def test_each_duplicate_answer_is_reported_once(self):
+        words = [(w, Source.FILLER, ()) for w in ["AB", "CD", "EF", "GH", "IJ"]]
+        _, _, _, lexicon, puzzle = solved_puzzle("..#..#..#..#..", words)
+        entries = [
+            replace(entry, answer=answer, surface=answer)
+            for entry, answer in zip(puzzle.entries, ["CD", "CD", "AB", "CD", "AB"])
+        ]
+        report = verify_puzzle(replace(puzzle, entries=tuple(entries)), lexicon, 0)
+        assert [(v.kind, v.message) for v in report.violations] == [
+            ("duplicate-answer", "'AB' used more than once"),
+            ("duplicate-answer", "'CD' used more than once"),
+        ]
+
     def test_missing_and_unknown_slots(self):
         _, _, _, lexicon, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
         report = verify_puzzle(replace(puzzle, entries=puzzle.entries[1:]), lexicon, 0)

@@ -1,10 +1,29 @@
-"""Shared helpers: atomic writes."""
+"""Shared helpers: atomic writes and block reads of input files."""
 
 import os
+import tracemalloc
 
 import pytest
 
-from topicross.util import atomic_write_text
+from topicross.util import atomic_write_text, text_blocks
+
+
+class TestTextBlocks:
+    def test_blocks_of_a_large_file_hold_a_block_of_it_at_a_time(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_text("".join(f"word{i:07d}\n" for i in range(600_000)), encoding="utf-8")
+        size = path.stat().st_size
+        assert size > 7_000_000
+        lines = 0
+        tracemalloc.start()
+        try:
+            for block in text_blocks(path):
+                lines += len(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4, (peak, size)
+        assert lines == 600_000
 
 
 class TestAtomicWrite:

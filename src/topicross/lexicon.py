@@ -143,12 +143,9 @@ class NormalizationTable:
             )
         return "".join(ch for ch in out if ch in self._alphabet)
 
-    def to_json(self) -> dict:
-        return {"mappings": dict(sorted(self.mappings.items())), "drop_policy": self.drop_policy}
-
     @classmethod
     def from_json(cls, doc: object) -> NormalizationTable:
-        """Inverse of :meth:`to_json`; raises :class:`DataError` on a malformed document."""
+        """The table of a JSON document; raises :class:`DataError` on a malformed one."""
         where = "normalization table"
         mappings = json_field(doc, "mappings", dict, where)
         if not all(isinstance(value, str) for value in mappings.values()):
@@ -244,19 +241,13 @@ class Lexicon:
         return len(self.records)
 
 
-def _word_list(path: str | Path) -> Iterator[str]:
+def read_word_list(path: str | Path) -> Iterator[str]:
     """The stripped non-blank lines of a plain word list, ``#`` comment lines
     dropped, built one block of lines at a time (see :func:`text_blocks`)."""
     return chain.from_iterable(
         [word for word in map(str.strip, lines) if word and word[0] != "#"]
         for lines in text_blocks(path)
     )
-
-
-def read_word_list(path: str | Path) -> list[str]:
-    """The words of a plain word list in one list: the surfaces that
-    :func:`read_lexicon_file` yields for it."""
-    return list(_word_list(path))
 
 
 def write_lexicon_jsonl(records: Iterable[Record]) -> str:
@@ -283,7 +274,7 @@ def read_lexicon_file(path: str | Path) -> Iterator[Record]:
     """
     path = Path(path)
     if path.suffix.lower() not in (".jsonl", ".ndjson"):
-        return zip(_word_list(path), repeat(Source.FILLER), repeat(()))
+        return zip(read_word_list(path), repeat(Source.FILLER), repeat(()))
     return _jsonl_records(path)
 
 
@@ -430,8 +421,8 @@ class WordIndex:
     ``topic_count[L]``), and a set of length-L answers is an int mask whose bit
     i stands for ``by_length[L][i]``. ``masks[L, position, letter]`` is the
     mask of the answers with that letter there. :meth:`domain` ANDs the masks
-    of some fixed letters; :meth:`candidates` and :meth:`count_matches` read a
-    domain mask minus an ``excluded`` mask.
+    of some fixed letters; :meth:`candidates` and :meth:`count_matches` decode or
+    count a mask.
 
     The masks of a length come from its bit-planes. Each letter of the length
     gets its index in the sorted letters, and bit b's plane at a position is
@@ -499,10 +490,9 @@ class WordIndex:
             mask &= self.masks.get((length, position, letter), 0)
         return mask
 
-    def candidates(self, domain: int, excluded: int = 0) -> list[int]:
-        """Ranks in ``domain`` and not in ``excluded``, ascending (so in
-        canonical order)."""
-        bits = bin(domain & ~excluded)[:1:-1]
+    def candidates(self, mask: int) -> list[int]:
+        """Ranks in ``mask``, ascending (so in canonical order)."""
+        bits = bin(mask)[:1:-1]
         ranks = []
         i = bits.find("1")
         while i >= 0:
@@ -510,9 +500,9 @@ class WordIndex:
             i = bits.find("1", i + 1)
         return ranks
 
-    def count_matches(self, domain: int, excluded: int = 0) -> int:
+    def count_matches(self, mask: int) -> int:
         """Candidate count without materializing the list."""
-        return (domain & ~excluded).bit_count()
+        return mask.bit_count()
 
 
 def build_index(lexicon: Lexicon) -> WordIndex:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, fields
+from enum import Enum, EnumMeta
 from random import Random
 
 from .grid import (
@@ -40,6 +41,11 @@ class PuzzleEntry:
     surface: str
     source: Source
     clue: str
+
+
+# The entry fields that spell the solution: a solution-free file leaves both
+# out, and a file that holds the answer may leave out a surface equal to it.
+_ANSWER, _SURFACE = "answer", "surface"
 
 
 @dataclass(frozen=True)
@@ -215,34 +221,21 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Validat
     return ValidationReport(tuple(violations))
 
 
+def _to_json(record: object, omit: tuple[str, ...] = ()) -> dict:
+    """A dataclass record's fields by name, but ``omit``; an enum as its value."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record) if f.name not in omit)
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values}
+
+
 def serialize_puzzle(puzzle: Puzzle, include_solution: bool = True) -> dict:
-    """Puzzle as a JSON-ready dict; set ``include_solution=False`` to omit answers."""
-    entries = []
-    for entry in puzzle.entries:
-        doc = {
-            "slot_id": entry.slot_id,
-            "orientation": entry.orientation.value,
-            "row": entry.row,
-            "col": entry.col,
-            "clue": entry.clue,
-            "source": entry.source.value,
-        }
-        if include_solution:
-            doc["answer"] = entry.answer
-            doc["surface"] = entry.surface
-        entries.append(doc)
+    """Puzzle as a JSON-ready dict, each entry and the metadata as their fields;
+    set ``include_solution=False`` to omit answers."""
+    omit = () if include_solution else (_ANSWER, _SURFACE)
     return {
         "pattern": "\n".join(puzzle.pattern.cells),
         "pattern_id": puzzle.pattern.pattern_id,
-        "entries": entries,
-        "metadata": {
-            "target_rate": puzzle.metadata.target_rate,
-            "achieved_topic_ratio": puzzle.metadata.achieved_topic_ratio,
-            "seed": puzzle.metadata.seed,
-            "elapsed_ms": puzzle.metadata.elapsed_ms,
-            "restarts": puzzle.metadata.restarts,
-            "generator_version": puzzle.metadata.generator_version,
-        },
+        "entries": [_to_json(entry, omit) for entry in puzzle.entries],
+        "metadata": _to_json(puzzle.metadata),
     }
 
 
@@ -256,12 +249,27 @@ def puzzle_to_json(puzzle: Puzzle, include_solution: bool = True) -> str:
     )
 
 
-def deserialize_puzzle(doc: object) -> Puzzle:
-    """Inverse of :func:`serialize_puzzle` for documents that include the solution.
+# The JSON type of each (string) field annotation; an enum is read from its value.
+_KINDS = dict(int=int, str=str, float=(int, float), Orientation=Orientation, Source=Source)
 
-    Raises :class:`DataError` when a field is missing or has the wrong type
-    or value (a NaN ``achieved_topic_ratio``, say).
-    """
+
+def _from_json(cls: type, doc: object, where: str, defaults: dict[str, object]) -> object:
+    """Dataclass ``cls`` read from the JSON object ``doc`` field by field, in field
+    order; an absent field takes its value in ``defaults``, else its default."""
+
+    def read(f: Field) -> object:
+        kind, default = _KINDS[f.type], defaults.get(f.name, f.default)
+        optional = () if default is MISSING else (default,)
+        if isinstance(kind, EnumMeta):
+            return enum_field(kind, doc, f.name, where, *optional)
+        return json_field(doc, f.name, kind, where, *optional)
+
+    return cls(*map(read, fields(cls)))
+
+
+def deserialize_puzzle(doc: object) -> Puzzle:
+    """Inverse of :func:`serialize_puzzle` for documents that include the solution; a
+    field missing or of the wrong type or value (a NaN ratio, say) is a :class:`DataError`."""
     pattern = parse_pattern(
         json_field(doc, "pattern", str, "puzzle"),
         pattern_id=json_field(doc, "pattern_id", str, "puzzle", ""),
@@ -269,31 +277,12 @@ def deserialize_puzzle(doc: object) -> Puzzle:
     entries = []
     for i, e in enumerate(json_field(doc, "entries", list, "puzzle")):
         where = f"puzzle entry {i}"
-        if isinstance(e, dict) and "answer" not in e:
+        if isinstance(e, dict) and _ANSWER not in e:
             raise DataError("solution-free puzzle documents cannot be deserialized")
-        answer = json_field(e, "answer", str, where)
-        entries.append(
-            PuzzleEntry(
-                slot_id=json_field(e, "slot_id", int, where),
-                orientation=enum_field(Orientation, e, "orientation", where),
-                row=json_field(e, "row", int, where),
-                col=json_field(e, "col", int, where),
-                answer=answer,
-                surface=json_field(e, "surface", str, where, answer),
-                source=enum_field(Source, e, "source", where),
-                clue=json_field(e, "clue", str, where),
-            )
-        )
+        answer = json_field(e, _ANSWER, str, where)
+        entries.append(_from_json(PuzzleEntry, e, where, {_SURFACE: answer}))
     md = json_field(doc, "metadata", dict, "puzzle")
-    where = "puzzle metadata"
-    metadata = PuzzleMetadata(
-        target_rate=json_field(md, "target_rate", int, where),
-        achieved_topic_ratio=json_field(md, "achieved_topic_ratio", (int, float), where),
-        seed=json_field(md, "seed", int, where),
-        elapsed_ms=json_field(md, "elapsed_ms", int, where),
-        restarts=json_field(md, "restarts", int, where),
-        generator_version=json_field(md, "generator_version", str, where, GENERATOR_VERSION),
-    )
+    metadata = _from_json(PuzzleMetadata, md, "puzzle metadata", {})
     return Puzzle(pattern=pattern, entries=tuple(entries), metadata=metadata)
 
 

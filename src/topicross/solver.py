@@ -81,7 +81,9 @@ class SolverConfig:
     ``restart_interval`` seconds, the episode count is capped at
     ``time_limit // restart_interval`` for parity with wall-clock runs, and
     reported elapsed time is a virtual clock (one full episode == one restart
-    interval), so identical configs reproduce byte-identical results.
+    interval), so identical configs reproduce byte-identical results. The
+    time limit must then be finite in milliseconds, and in either mode
+    ``time_limit / restart_interval`` must be a finite episode count.
     """
 
     target_rate: int = 50
@@ -100,6 +102,14 @@ class SolverConfig:
             raise ValueError("restart_interval must not exceed time_limit")
         if self.node_budget is not None and self.node_budget < 1:
             raise ValueError("node_budget must be >= 1 when set")
+        if math.isfinite(self.time_limit) and math.isinf(self.time_limit / self.restart_interval):
+            raise ValueError("time_limit / restart_interval is too many episodes to count")
+        # The virtual clock sums float milliseconds up to the time limit;
+        # without one it would grow with every episode, past any float.
+        if self.node_budget is not None and math.isinf(self.time_limit * 1000):
+            raise ValueError(
+                f"the virtual clock cannot count {self.time_limit} seconds in milliseconds"
+            )
 
     @property
     def max_episodes(self) -> int | None:

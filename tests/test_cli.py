@@ -288,6 +288,44 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command", [GENERATE_MISSING, SWEEP_MISSING], ids=["generate", "sweep"]
+    )
+    @pytest.mark.parametrize(
+        "clock, message",
+        [
+            pytest.param(
+                ["--time-limit", "inf", "--restart-interval", "inf", "--node-budget", "10"],
+                "the virtual clock cannot count inf seconds in milliseconds",
+                id="infinite-virtual-clock",
+            ),
+            pytest.param(
+                ["--time-limit", "1e308", "--restart-interval", "1e308", "--node-budget", "10"],
+                "the virtual clock cannot count 1e+308 seconds in milliseconds",
+                id="virtual-clock-overflow",
+            ),
+            pytest.param(
+                ["--time-limit", "1e308", "--restart-interval", "1e-308"],
+                "time_limit / restart_interval is too many episodes to count",
+                id="episode-count-overflow",
+            ),
+            pytest.param(
+                ["--time-limit", "1e308", "--restart-interval", "1e-308", "--node-budget", "10"],
+                "time_limit / restart_interval is too many episodes to count",
+                id="episode-count-overflow-node-budget",
+            ),
+        ],
+    )
+    def test_clock_overflow_is_a_usage_error(
+        self, workdir, monkeypatch, capsys, command, clock, message
+    ):
+        # a float that no int can hold, found before the (missing) inputs are read
+        monkeypatch.chdir(workdir)
+        out = workdir / "out.txt"
+        assert run([*command, *clock, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, named",
         [
             pytest.param(
@@ -807,6 +845,25 @@ class TestDeterminism:
         assert run(args + ["--out", out]) == 0
         assert out.read_bytes() == stdout.encode("utf-8")
         assert stdout.endswith("}\n")
+
+    def test_generate_solution_free_digest(self, workdir):
+        # Clued topic answers and filler: the file holds each entry's clue,
+        # source and place, with no answer and no surface.
+        topic = workdir / "topic.jsonl"
+        assert run(["ingest", "--corpus", workdir / "corpus.jsonl",
+                    "--gazetteer", workdir / "terms.txt", "--out", topic]) == 0
+        out = workdir / "pz.json"
+        assert run([
+            "generate", "--size", "5x5", "--black", "5", "--lexicon", topic,
+            workdir / "filler.txt", "--target-rate", "10", "--node-budget", "50000",
+            "--seed", "21", "--solution-free", "--out", out,
+        ]) == 0
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert any(e["source"] == "topic" for e in doc["entries"])
+        assert not any("answer" in e or "surface" in e for e in doc["entries"])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "eb3b231bde6b40d8e37f604a3e2a2ece7d62a2bccd59edad4ba9c4ab00f97c22"
+        )
 
     def test_generate_ignores_answer_lengths_the_grid_lacks(self, workdir):
         # Slots of lengths 2 and 3 only; the full lists also hold 4- and

@@ -3,7 +3,8 @@
 import json
 import math
 import random
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +12,10 @@ from conftest import UNLIMITED, random_small_instance
 from topicross.grid import extract_slots, parse_pattern
 from topicross.lexicon import Source, build_index, ingest_lexicon, ingest_records
 from topicross.puzzle import (
+    GENERATOR_VERSION,
     MissingEntryError,
+    PuzzleEntry,
+    PuzzleMetadata,
     assemble,
     deserialize_puzzle,
     puzzle_to_json,
@@ -272,6 +276,63 @@ class TestVerify:
             checked += 1
 
 
+# Each field of an entry and of the metadata with the DataError message that
+# reading it gives: (part, key, message for a missing key or None where the key
+# has a default, a value of the wrong type, its message, an unknown enum value
+# or None, its message). Entry messages are for entry 0 ("puzzle entry 0: ..."),
+# metadata messages for "puzzle metadata: ...". A missing answer is the
+# solution-free error instead.
+FIELD_ERRORS = [
+    ("entry", "slot_id", "missing 'slot_id'", "0", "'slot_id' must be int, got str", None, None),
+    (
+        "entry", "orientation", "missing 'orientation'", 5, "'orientation' must be str, got int",
+        "diagonal", "unknown orientation 'diagonal'",
+    ),
+    ("entry", "row", "missing 'row'", True, "'row' must be int, got bool", None, None),
+    ("entry", "col", "missing 'col'", 1.0, "'col' must be int, got float", None, None),
+    ("entry", "answer", None, 5, "'answer' must be str, got int", None, None),
+    ("entry", "surface", None, ["AB"], "'surface' must be str, got list", None, None),
+    (
+        "entry", "source", "missing 'source'", None, "'source' must be str, got NoneType",
+        "news", "unknown source 'news'",
+    ),
+    ("entry", "clue", "missing 'clue'", {}, "'clue' must be str, got dict", None, None),
+    (
+        "metadata", "target_rate", "missing 'target_rate'", "30",
+        "'target_rate' must be int, got str", None, None,
+    ),
+    (
+        "metadata", "achieved_topic_ratio", "missing 'achieved_topic_ratio'", False,
+        "'achieved_topic_ratio' must be int or float, got bool", None, None,
+    ),
+    ("metadata", "seed", "missing 'seed'", 1.5, "'seed' must be int, got float", None, None),
+    (
+        "metadata", "elapsed_ms", "missing 'elapsed_ms'", "0",
+        "'elapsed_ms' must be int, got str", None, None,
+    ),
+    (
+        "metadata", "restarts", "missing 'restarts'", [], "'restarts' must be int, got list",
+        None, None,
+    ),
+    (
+        "metadata", "generator_version", None, 1, "'generator_version' must be str, got int",
+        None, None,
+    ),
+]
+
+# The order in which a document's fields are read: the first bad one is reported.
+ENTRY_ORDER = ("answer", "slot_id", "orientation", "row", "col", "surface", "source", "clue")
+METADATA_ORDER = (
+    "target_rate", "achieved_topic_ratio", "seed", "elapsed_ms", "restarts", "generator_version",
+)
+
+
+def puzzle_doc(puzzle):
+    """The JSON document of ``puzzle`` and, to edit, its first entry and its metadata."""
+    doc = json.loads(puzzle_to_json(puzzle))
+    return doc, {"entry": doc["entries"][0], "metadata": doc["metadata"]}
+
+
 class TestSerialization:
     def test_round_trip(self):
         *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
@@ -315,6 +376,70 @@ class TestSerialization:
         doc = serialize_puzzle(bad)
         with pytest.raises(DataError, match="'achieved_topic_ratio' must be finite"):
             deserialize_puzzle(json.loads(json.dumps(doc)))
+
+    def test_field_errors_cover_every_field(self):
+        assert [key for part, key, *_ in FIELD_ERRORS if part == "entry"] == [
+            f.name for f in fields(PuzzleEntry)
+        ]
+        assert [key for part, key, *_ in FIELD_ERRORS if part == "metadata"] == [
+            f.name for f in fields(PuzzleMetadata)
+        ]
+        assert sorted(ENTRY_ORDER) == sorted(f.name for f in fields(PuzzleEntry))
+        assert METADATA_ORDER == tuple(f.name for f in fields(PuzzleMetadata))
+
+    @pytest.mark.parametrize(
+        "part, key, missing, wrong, wrong_message, unknown, unknown_message",
+        FIELD_ERRORS,
+        ids=[f"{part}-{key}" for part, key, *_ in FIELD_ERRORS],
+    )
+    def test_field_errors(
+        self, part, key, missing, wrong, wrong_message, unknown, unknown_message
+    ):
+        *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
+        where = "puzzle entry 0" if part == "entry" else "puzzle metadata"
+
+        doc, parts = puzzle_doc(puzzle)
+        del parts[part][key]
+        if key == "answer":
+            message = "solution-free puzzle documents cannot be deserialized"
+            with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+                deserialize_puzzle(doc)
+        elif missing is None:
+            read = deserialize_puzzle(doc)
+            if key == "surface":
+                assert read.entries[0].surface == read.entries[0].answer
+            else:
+                assert read.metadata.generator_version == GENERATOR_VERSION
+        else:
+            with pytest.raises(DataError, match=f"^{re.escape(f'{where}: {missing}')}$"):
+                deserialize_puzzle(doc)
+
+        bad = [(wrong, wrong_message)] + ([(unknown, unknown_message)] if unknown else [])
+        for value, message in bad:
+            doc, parts = puzzle_doc(puzzle)
+            parts[part][key] = value
+            with pytest.raises(DataError, match=f"^{re.escape(f'{where}: {message}')}$"):
+                deserialize_puzzle(doc)
+
+    def test_first_bad_field_is_reported(self):
+        *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
+        for part, order in (("entry", ENTRY_ORDER), ("metadata", METADATA_ORDER)):
+            where = "puzzle entry 0" if part == "entry" else "puzzle metadata"
+            for i, first in enumerate(order):
+                for second in order[i + 1:]:
+                    doc, parts = puzzle_doc(puzzle)
+                    # a list is the wrong type for every field
+                    parts[part][first] = parts[part][second] = []
+                    message = f"{where}: {first!r} must be"
+                    with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+                        deserialize_puzzle(doc)
+        # entries are read in order, and before the metadata
+        doc, parts = puzzle_doc(puzzle)
+        parts["metadata"]["target_rate"] = []
+        doc["entries"][1]["slot_id"] = []
+        parts["entry"]["clue"] = []
+        with pytest.raises(DataError, match=r"^puzzle entry 0: 'clue' must be"):
+            deserialize_puzzle(doc)
 
     def test_render_deterministic(self):
         *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)

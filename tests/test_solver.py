@@ -99,7 +99,7 @@ class TestChooseNextSlot:
         # with AB..CD (ranks 0-5) placed elsewhere both slots keep only ZA,
         # and the tie goes to the lowest id
         state.used[2] = 0b111111
-        assert index.count_matches(index.domain(2), state.used[2]) == 1
+        assert index.count_matches(index.domain(2) & ~state.used[2]) == 1
         sid, *_ = choose_next_slot(state, slotset, index)
         assert sid == 0
 
@@ -198,7 +198,7 @@ class TestChooseNextSlot:
         state = state_with(slotset, index, letters={(0, 1): pick.choice("ABCD")})
         state.need = 1
         state.used[3] = used = sum(1 << r for r in pick.sample(range(len(words)), 5))
-        free = index.candidates(state.domain[0], used)
+        free = index.candidates(state.domain[0] & ~used)
         sid, search = choose_next_slot(state, slotset, index)
         ranks = index.candidates(search)
         assert sid == 0 and ranks
@@ -393,6 +393,27 @@ class TestSolveSmall:
         for nan in ({"time_limit": math.nan}, {"restart_interval": math.nan}):
             with pytest.raises(ValueError, match="must be positive"):
                 SolverConfig(**nan)
+
+    def test_clock_overflow_configs(self):
+        # The episode cap and the virtual clock turn floats into ints, so
+        # neither may be infinite.
+        for mode in ({}, {"node_budget": 10}):
+            with pytest.raises(ValueError, match="too many episodes to count"):
+                SolverConfig(time_limit=1e308, restart_interval=1e-308, **mode)
+        for clock in (
+            {"time_limit": math.inf, "restart_interval": math.inf},
+            {"time_limit": math.inf, "restart_interval": 1e305},
+            {"time_limit": math.inf},
+            {"time_limit": 1e308, "restart_interval": 1e308},
+            {"time_limit": 1e306, "restart_interval": 10},
+        ):
+            with pytest.raises(ValueError, match="virtual clock cannot count"):
+                SolverConfig(node_budget=10, **clock)
+        # The wall clock takes limits the virtual clock cannot count, and no
+        # time limit at all.
+        assert SolverConfig(time_limit=math.inf, restart_interval=math.inf).max_episodes is None
+        assert SolverConfig(time_limit=1e308, restart_interval=1e308).max_episodes == 1
+        assert SolverConfig(time_limit=1e305, restart_interval=1e-3, node_budget=10).max_episodes
 
     def test_no_search_state_outlives_solve(self):
         # With the cyclic collector off, an episode's FillState is freed only

@@ -1,6 +1,7 @@
 """Backtracking fill: quota math, heuristics, restarts, and oracle agreement."""
 
 import gc
+import hashlib
 import math
 import random
 import sys
@@ -318,6 +319,45 @@ class TestRootRefutation:
             ) == (Status.EXHAUSTED, {}, 0, 0, 0)
 
 
+    def test_seeded_outcomes_are_pinned(self):
+        # Deterministic solves over seeded random instances, at every quota
+        # from 0% to 100%, with and without maximize, under a node budget
+        # that cuts some episodes. The sample reaches every status and every
+        # root case: too few capable slots, refuted by zero-slack AC-3, and
+        # zero slack but not refuted.
+        rng = random.Random(2024)
+        outcomes = []
+        statuses = set()
+        roots = set()
+        for _ in range(60):
+            _, slotset, _, index = random_small_instance(rng)
+            capable = sum(index.topic_count.get(s.length, 0) > 0 for s in slotset.slots)
+            seed = rng.randrange(1000)
+            for rate in (0, 25, 50, 75, 100):
+                need = quota_needed(len(slotset.slots), rate)
+                if capable < need:
+                    roots.add("short")
+                elif capable == need:
+                    refuted = solver_module._root_refuted(slotset, index, need)
+                    roots.add("refuted" if refuted else "zero slack")
+                config = SolverConfig(
+                    target_rate=rate, node_budget=5, time_limit=30, restart_interval=10,
+                    seed=seed,
+                )
+                for maximize in (False, True):
+                    r = solve(slotset, index, config, maximize=maximize)
+                    statuses.add(r.status)
+                    outcomes.append((
+                        r.status.value, sorted(r.assignment.items()), r.achieved_topic_ratio,
+                        r.elapsed_ms, r.restarts, r.nodes_expanded,
+                    ))
+        assert statuses == set(Status)
+        assert roots == {"short", "refuted", "zero slack"}
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+            "ce9ef944687de2c46d15dc99e12013191df372809382d090c4fc7e50906263d5"
+        )
+
+
 class TestSolveSmall:
     def test_single_slot_topic(self):
         _, index = lex_index([("AB", Source.TOPIC, ())])
@@ -335,6 +375,23 @@ class TestSolveSmall:
         assert (result.status, result.nodes_expanded, result.restarts) == (
             Status.EXHAUSTED, 0, 0
         )
+
+    @pytest.mark.parametrize("maximize", [False, True])
+    @pytest.mark.parametrize("node_budget", [None, 2], ids=["wall-clock", "budget"])
+    def test_filler_only_full_quota_costs_nothing(self, node_budget, maximize):
+        # No slot can take a topic answer, so the first node is cut: on
+        # either clock, with or without maximize, the solve ends exhausted
+        # with no fill, node, restart or elapsed time.
+        _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])
+        slotset = extract_slots(parse_pattern("..\n.."))
+        config = SolverConfig(
+            target_rate=100, time_limit=30, restart_interval=10, node_budget=node_budget
+        )
+        result = solve(slotset, index, config, maximize=maximize)
+        assert (
+            result.status, result.assignment, result.achieved_topic_ratio, result.elapsed_ms,
+            result.restarts, result.nodes_expanded,
+        ) == (Status.EXHAUSTED, {}, 0.0, 0, 0, 0)
 
     def test_filler_only_never_meets_full_quota(self):
         _, index = lex_index([(w, Source.FILLER, ()) for w in ["AB", "CD", "AC", "BD"]])

@@ -8,6 +8,7 @@ must agree. Each slot carries a link per cell to the slot crossing it there.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
@@ -246,7 +247,8 @@ def generate_random_patterns(
 
     Rejection sampling: black-cell subsets are drawn uniformly and kept only
     when the pattern passes :func:`validate_pattern`. Deterministic for a
-    given seed.
+    given seed. Raises :class:`ExhaustedAttemptsError` after ``max_attempts``
+    draws, or once every layout of ``n_black`` black cells has been drawn.
     """
     if not 0 <= n_black < height * width:
         raise ValueError(f"n_black must be in [0, {height * width})")
@@ -255,10 +257,16 @@ def generate_random_patterns(
 
     rng = random.Random(seed)
     all_cells = height * width
+    layouts = math.comb(all_cells, n_black)
     out: list[GridPattern] = []
     seen: set[tuple[str, ...]] = set()
     attempts = 0
     while len(out) < count:
+        if len(seen) == layouts:
+            raise ExhaustedAttemptsError(
+                f"found {len(out)}/{count} valid patterns when the layouts ran out:"
+                f" {height}x{width} has {layouts} with {n_black} black cells"
+            )
         attempts += 1
         if attempts > max_attempts:
             raise ExhaustedAttemptsError(

@@ -222,9 +222,10 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Validat
 
 
 def _to_json(record: object, omit: tuple[str, ...] = ()) -> dict:
-    """A dataclass record's fields by name, but ``omit``; an enum as its value."""
-    values = ((f.name, getattr(record, f.name)) for f in fields(record) if f.name not in omit)
-    return {name: v.value if isinstance(v, Enum) else v for name, v in values}
+    """An unslotted dataclass record's fields by name, but ``omit``; an enum as
+    its value."""
+    values = vars(record).items()
+    return {name: v.value if isinstance(v, Enum) else v for name, v in values if name not in omit}
 
 
 def serialize_puzzle(puzzle: Puzzle, include_solution: bool = True) -> dict:

@@ -30,13 +30,14 @@ capable slot would leave the quota unreachable: such a slot searches only its
 topic candidates. A node is one placed answer; the node budget and
 ``nodes_expanded`` count placements only.
 
-Before the first episode, a root test settles some instances outright. A root
-with fewer capable slots than the quota is refuted. At zero slack every
-capable slot must take a topic answer, so each capable slot's domain becomes
-its topic answers, and arc consistency (AC-3, Mackworth 1977) runs among them
-along the crossings; a domain that empties refutes the root. A refuted root
-ends the solve in ``EXHAUSTED`` with no node, restart or elapsed time. The
-test runs only at the root: propagating inside the search costs more than the
+A root with fewer capable slots than the quota is cut at its first node, so
+the first episode ends ``EXHAUSTED`` with no node placed. A root at zero
+slack is tested before any episode: every capable slot must take a topic
+answer, so each one's domain becomes its topic answers, and arc consistency
+(AC-3, Mackworth 1977) runs among them along the crossings; a domain that
+empties refutes the root, and no episode runs. Either way the solve ends with
+no node or restart in 0 ms (a cut first node takes microseconds of wall time).
+AC-3 runs only at the root: propagating inside the search costs more than the
 nodes it saves under a node budget.
 
 ``brute_force_solve`` is an independent exhaustive oracle for small instances;
@@ -213,21 +214,20 @@ def choose_next_slot(
 
 
 def _root_refuted(slotset: SlotSet, index: WordIndex, need: int) -> bool:
-    """Whether the root alone proves that no fill holds ``need`` topic answers.
+    """Whether AC-3 at zero slack proves that no fill holds ``need`` topic answers.
 
-    At the root every answer of a slot's length fits the slot, so a slot is
-    capable exactly when its length has topic answers. Fewer capable slots
-    than ``need`` refute the root. At zero slack every capable slot must take
-    a topic answer (Ginsberg et al. 1990): each one's domain shrinks to its
+    At the root a slot is capable exactly when its length has topic answers.
+    Only a root with exactly ``need`` capable slots is tested; with fewer, the
+    capable bound cuts the first node. Every capable slot must then take a
+    topic answer (Ginsberg et al. 1990): each one's domain shrinks to its
     topic answers, and arc consistency (AC-3, Mackworth 1977) runs among them
     along their crossings. A domain that empties refutes the root. Otherwise
     nothing is proven, and the search starts from the untouched root.
     """
     topic_count = index.topic_count
     slots = slotset.slots
-    capable = sum(topic_count.get(slot.length, 0) > 0 for slot in slots)
-    if capable != need:
-        return capable < need
+    if sum(topic_count.get(slot.length, 0) > 0 for slot in slots) != need:
+        return False
     domain = {
         slot.slot_id: (1 << topic_count[slot.length]) - 1
         for slot in slots
@@ -348,7 +348,8 @@ def solve(
     """Fill every slot subject to the topic quota; with ``maximize``, with as
     many topic answers as possible.
 
-    Runs restart episodes until success, exhaustion, or the global limit.
+    Runs restart episodes until success, exhaustion, or the global limit; a
+    root that zero-slack AC-3 refutes runs none and ends in ``EXHAUSTED``.
     Episode i shuffles candidates within the topic and filler groups with its
     own random state derived from (seed, i). An episode that exhausts its
     search space ends the solve with ``EXHAUSTED``: shuffling only reorders
@@ -363,32 +364,20 @@ def solve(
     """
     total = len(slotset.slots)
     deterministic = config.node_budget is not None
-    max_episodes = config.max_episodes
-    started = time.monotonic()
-    virtual_ms = 0.0
-    nodes_total = 0
-    episodes = 0
     need = quota_needed(total, config.target_rate)
-    if _root_refuted(slotset, index, need):
-        return FillResult(
-            status=Status.EXHAUSTED,
-            assignment={},
-            achieved_topic_ratio=0.0,
-            elapsed_ms=0,
-            restarts=0,
-            nodes_expanded=0,
-            config=config,
-        )
     best = None
-
-    while True:
+    outcome = Status.EXHAUSTED
+    episodes = nodes_total = 0
+    virtual_ms = 0.0  # the virtual clock under a node budget, else the wall clock
+    started = time.monotonic()
+    # A refuted root runs no episode: EXHAUSTED, with no node or restart.
+    searching = not _root_refuted(slotset, index, need)
+    while searching:
         rng = Random(derive_seed(config.seed, "episode", episodes))
         state = FillState(need=need, best=best)
-        if deterministic:
-            deadline = None
-        else:
-            episode_start = time.monotonic()
-            deadline = min(started + config.time_limit, episode_start + config.restart_interval)
+        deadline = None
+        if not deterministic:
+            deadline = min(started + config.time_limit, time.monotonic() + config.restart_interval)
         outcome = _run_episode(slotset, index, config, state, rng, deadline, maximize)
         need, best = state.need, state.best
         episodes += 1
@@ -397,21 +386,16 @@ def solve(
             virtual_ms += (
                 config.restart_interval * 1000.0 * state.nodes_expanded / config.node_budget
             )
-        if outcome is not Status.TIMEOUT:
-            # An exhausted episode searched the whole space; another episode
-            # only reorders the same search, so no fill meets need (above an
-            # incumbent, the incumbent is optimal).
-            break
-        if (max_episodes is not None and episodes >= max_episodes) or (
-            not deterministic and time.monotonic() - started >= config.time_limit
-        ):
-            break
+        else:
+            virtual_ms = (time.monotonic() - started) * 1000
+        # An exhausted episode searched the whole space; another episode
+        # only reorders the same search, so no fill meets need (above an
+        # incumbent, the incumbent is optimal).
+        searching = outcome is Status.TIMEOUT and episodes != config.max_episodes
+        if not deterministic and time.monotonic() - started >= config.time_limit:
+            searching = False
 
-    if deterministic:
-        elapsed_ms = int(round(virtual_ms))
-    else:
-        elapsed_ms = int(round((time.monotonic() - started) * 1000))
-
+    elapsed_ms = int(round(virtual_ms))
     if best is not None:
         outcome = Status.SUCCESS
         ratio = (need - 1) / total if total else 1.0
@@ -423,7 +407,7 @@ def solve(
         assignment=best,
         achieved_topic_ratio=ratio,
         elapsed_ms=elapsed_ms,
-        restarts=episodes - 1,
+        restarts=max(episodes - 1, 0),
         nodes_expanded=nodes_total,
         config=config,
     )

@@ -266,6 +266,14 @@ class TestGenerate:
         with pytest.raises(ExhaustedAttemptsError):
             generate_random_patterns(1, 2, 1, 1, seed=0, max_attempts=50)
 
+    @pytest.mark.parametrize("height, width, n_black, count", [(3, 3, 0, 2), (1, 2, 1, 1)])
+    def test_layouts_run_out(self, height, width, n_black, count):
+        # A 3x3 grid has one layout with no black cell, so a second pattern
+        # cannot exist; both layouts of 1x2 with one black leave a white cell
+        # alone. The draws stop once every layout has been seen.
+        with pytest.raises(ExhaustedAttemptsError, match="layouts ran out"):
+            generate_random_patterns(height, width, n_black, count, seed=0)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             generate_random_patterns(2, 2, 4, 1, seed=0)

@@ -180,28 +180,34 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    # Usage errors (exit 2) come before any file is read.
-    config = _solver_config(args, args.target_rate)
-    _check_output_dirs(args.out)
+def _fill(args: argparse.Namespace, config: solver.SolverConfig) -> str | None:
+    """The puzzle JSON of a fill of the pattern, or None when the search fails."""
     pattern = _resolve_pattern(args)
     slotset = grid.extract_slots(pattern)
     # The search and the clues read only answers of the grid's slot lengths.
     lengths = {slot.length for slot in slotset.slots}
+    lex = lexicon.ingest_lexicon(
+        args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
+    )
+    result = solver.solve(slotset, lexicon.build_index(lex), config, maximize=args.max_topic)
+    if not result.success:
+        print(f"generation failed: {result.status.value}", file=sys.stderr)
+        return None
+    pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
+    return puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    # Usage errors (exit 2) come before any file is read.
+    config = _solver_config(args, args.target_rate)
+    _check_output_dirs(args.out)
     # The lexicon, index, search and puzzle make no reference cycles, so a
-    # collection during the run would only walk the kept records; the json
-    # encoder's few cycles wait for a later one.
+    # collection would only walk the kept records; they are freed inside the
+    # pause, when _fill returns. The json encoder's few cycles wait.
     with gc_paused():
-        lex = lexicon.ingest_lexicon(
-            args.lexicon, _load_table(args.table), lambda answer: len(answer) in lengths
-        )
-        index = lexicon.build_index(lex)
-        result = solver.solve(slotset, index, config, maximize=args.max_topic)
-        if not result.success:
-            print(f"generation failed: {result.status.value}", file=sys.stderr)
-            return EXIT_FAILURE
-        pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
-        text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
+        text = _fill(args, config)
+    if text is None:
+        return EXIT_FAILURE
     _write_output(args.out, text)
     return EXIT_OK
 
@@ -239,7 +245,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # drawn before the lexicon load, so a black count too large for
         # --size is a usage error before any file is read
         patterns = harness.default_sweep_patterns(config)
-    index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
+    with gc_paused():  # the lexicon is freed inside it, once its index is built
+        index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
     records = harness.run_sweep(config, index, patterns=patterns, jobs=args.jobs)
     harness.write_records_csv(records, args.out)
     if args.summary or args.svg:

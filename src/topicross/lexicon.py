@@ -7,19 +7,20 @@ in both keeps the topic tag. A lexicon record is one plain ``(surface, source,
 clues)`` tuple, and this module owns its JSON Lines format: both
 :func:`write_lexicon_jsonl` and :func:`read_lexicon_file` live here.
 
-The readers yield records lazily, and :func:`ingest_records` normalizes and
-merges them one slice at a time, so a load holds one block of lines, one
-slice of records and the records it keeps, however long its files are.
+A load normalizes and merges one block at a time, as columns: a word list's
+stripped lines (a record is built only for an answer the load keeps), or a
+slice of records. It holds one block and the records it keeps, however long
+its files are.
 
 Normalization maps a surface onto the grid alphabet with a
 :class:`NormalizationTable`: its keys substitute, longest first, and one
 alphabet check then drops or rejects every character left outside the
 alphabet. Under a 'skip' table whose keys are single characters (the default
-is one), :func:`ingest_records` joins a load's surfaces, drops the non-ASCII
-characters and translates the joined text in one call, because
+is one), a load translates each block's joined surfaces in one call. Because
 ``str.translate`` takes its ASCII fast path only on a string that is all
-ASCII; each surface that held a non-ASCII character then costs one
-:func:`normalize` call. Under any other table, each surface costs one call.
+ASCII, a join that is not ASCII loses its non-ASCII characters first, and
+each surface that held one then costs one :func:`normalize` call. Under any
+other table, each surface costs one call.
 
 :class:`WordIndex` builds the masks of one answer length from bit-planes: each
 letter gets its index in the length's sorted letters, one plane per bit of
@@ -220,13 +221,16 @@ class IngestStats:
     collisions: int = 0
 
 
-# Records one load normalizes at a time, so that the answers of a slice
-# are freed before the next slice is read.
+# Records one block of a load holds when they are read one by one.
 _SLICE = 8192
 
 # One lexicon record: (surface, source, clues). A plain tuple, because a
-# load builds one per line of every lexicon file.
+# load builds one per kept answer.
 Record = tuple[str, Source, tuple[str, ...]]
+
+# A block: its surfaces, their join with "\n", and their records, or None
+# for a word list's block.
+Block = tuple[list[str], str, list[Record] | None]
 
 
 @dataclass(frozen=True)
@@ -241,13 +245,23 @@ class Lexicon:
         return len(self.records)
 
 
+def _word_list_blocks(path: str | Path) -> Iterator[Block]:
+    """A word list's non-empty blocks of stripped lines (see :func:`text_blocks`),
+    filtered of blank and ``#`` lines only when the join holds either."""
+    for lines in text_blocks(path):
+        surfaces = list(map(str.strip, lines))
+        joined = "\n".join(surfaces)
+        if "#" in joined or "\n\n" in f"\n{joined}\n":
+            surfaces = [word for word in surfaces if word and word[0] != "#"]
+            joined = "\n".join(surfaces)
+        if surfaces:
+            yield surfaces, joined, None
+
+
 def read_word_list(path: str | Path) -> Iterator[str]:
     """The stripped non-blank lines of a plain word list, ``#`` comment lines
     dropped, built one block of lines at a time (see :func:`text_blocks`)."""
-    return chain.from_iterable(
-        [word for word in map(str.strip, lines) if word and word[0] != "#"]
-        for lines in text_blocks(path)
-    )
+    return chain.from_iterable(surfaces for surfaces, _, _ in _word_list_blocks(path))
 
 
 def write_lexicon_jsonl(records: Iterable[Record]) -> str:
@@ -263,6 +277,9 @@ def write_lexicon_jsonl(records: Iterable[Record]) -> str:
     )
 
 
+_JSONL = (".jsonl", ".ndjson")
+
+
 def read_lexicon_file(path: str | Path) -> Iterator[Record]:
     """The records of one lexicon source file, yielded lazily.
 
@@ -273,7 +290,7 @@ def read_lexicon_file(path: str | Path) -> Iterator[Record]:
     iterator reaches it, after the records before it.
     """
     path = Path(path)
-    if path.suffix.lower() not in (".jsonl", ".ndjson"):
+    if path.suffix.lower() not in _JSONL:
         return zip(read_word_list(path), repeat(Source.FILLER), repeat(()))
     return _jsonl_records(path)
 
@@ -290,25 +307,42 @@ def _jsonl_records(path: Path) -> Iterator[Record]:
         yield surface, source, tuple(clues)
 
 
-def _answers(surfaces: list[str], table: NormalizationTable) -> tuple[list[str], int]:
-    """Each surface's answer, shorter than two letters for one that does not
-    normalize, and how many surfaces were unmappable.
+def _record_blocks(records: Iterable[Record]) -> Iterator[Block]:
+    records = iter(records)
+    while chunk := list(islice(records, _SLICE)):
+        surfaces = [record[0] for record in chunk]
+        yield surfaces, "\n".join(surfaces), chunk
+        del chunk, surfaces  # before the next slice is read
 
-    Under a 'skip' table with single-character keys, when no surface is
-    empty, the surfaces are joined with ``"\\n"`` and translated in one call;
-    each surface that holds a non-ASCII character then gets its own
-    :func:`normalize` call. Every surface gets its own call instead under any
-    other table, or when a surface holds ``"\\n"``.
-    """
+
+def _file_blocks(path: str | Path) -> Iterator[Block]:
+    """The blocks of one lexicon file, read one at a time."""
+    if Path(path).suffix.lower() in _JSONL:
+        return _record_blocks(read_lexicon_file(path))
+    return _word_list_blocks(path)
+
+
+class _Files(tuple):
+    """Lexicon file paths, as records that :func:`ingest_records` reads by
+    blocks: every load, of files or of records, is one ingest_records call."""
+
+
+def _answers(surfaces: list[str], joined: str, table: NormalizationTable) -> tuple[list[str], int]:
+    """Each surface's answer, shorter than two letters for one that does not
+    normalize, and how many surfaces were unmappable. ``joined``, the
+    surfaces' join with ``"\\n"``, is translated as the module docstring
+    says, unless a surface is empty or holds ``"\\n"``: then every surface
+    gets its own :func:`normalize` call."""
     answers: list[str] = []
+    redo: Iterable[str] = ()
     if table._pattern is None and table.drop_policy == SKIP and all(surfaces):
-        # str.translate takes its fast path only on an all-ASCII string, so
-        # the non-ASCII characters are dropped here; their surfaces are redone.
-        joined = "\n".join(surfaces).encode("ascii", "ignore").decode("ascii")
+        if not joined.isascii():
+            # str.translate takes its fast path only on an all-ASCII string, so
+            # the non-ASCII characters are dropped here; their surfaces are redone.
+            joined = joined.encode("ascii", "ignore").decode("ascii")
+            redo = filterfalse(str.isascii, surfaces)
         answers = joined.translate(table._codes).split("\n")
-    if len(answers) == len(surfaces):
-        redo: Iterable[str] = filterfalse(str.isascii, surfaces)
-    else:
+    if len(answers) != len(surfaces):
         answers = [""] * len(surfaces)
         redo = surfaces
     unmappable = 0
@@ -347,6 +381,8 @@ def ingest_records(
     unfiltered load. The ``skipped_short`` and ``skipped_unmappable`` stats
     then still count every record, while ``topic``, ``filler`` and
     ``collisions`` count only the kept answers.
+
+    :func:`ingest_lexicon` passes its files as ``records``, read by blocks.
     """
     merged: dict[str, Record] = {}
     skipped_short = 0
@@ -358,20 +394,25 @@ def ingest_records(
     get = merged.get
     topic_tag = Source.TOPIC
     filler_tag = Source.FILLER
-    records = iter(records)
-    while chunk := list(islice(records, _SLICE)):
-        answers, unmappable = _answers(list(map(operator.itemgetter(0), chunk)), table)
+    if isinstance(records, _Files):
+        blocks = chain.from_iterable(map(_file_blocks, records))
+    else:
+        blocks = _record_blocks(records)
+    for surfaces, joined, chunk in blocks:
+        answers, unmappable = _answers(surfaces, joined, table)
         skipped_unmappable += unmappable
-        picked: Iterable[Record] = chunk
+        picked: Iterable = surfaces if chunk is None else chunk
         if min(map(len, answers)) < 2:
             long_enough = list(map(operator.le, repeat(2), map(len, answers)))
             answers = list(compress(answers, long_enough))
-            picked = compress(chunk, long_enough)
-        skipped_short += len(chunk) - len(answers) - unmappable
+            picked = compress(picked, long_enough)
+        skipped_short += len(surfaces) - len(answers) - unmappable
         if keep is not None:
             kept = list(map(keep, answers))
             answers = compress(answers, kept)
             picked = compress(picked, kept)
+        if chunk is None:
+            picked = zip(picked, repeat(filler_tag), repeat(()))
         for answer, record in zip(answers, picked):
             existing = get(answer)
             if existing is None:
@@ -386,9 +427,8 @@ def ingest_records(
                 topic += 1
             clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
             merged[answer] = (kept_surface, kept_source, clues)
-        # Unbound here, the slice and its answers are freed before the next
-        # slice is read, not after: a load holds one slice, never two.
-        del chunk, answers, picked
+        # unbound before the next block is read: a load holds one, never two
+        del surfaces, joined, chunk, answers, picked
     stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
     return Lexicon(records=merged, stats=stats)
 
@@ -402,14 +442,12 @@ def ingest_lexicon(
 
     Every file is read and validated in full; ``keep`` is passed to
     :func:`ingest_records`, which keeps only the answers it accepts when it
-    is set. The files' records stream into :func:`ingest_records` as it
-    slices them, so a load holds one block of lines, one slice of records
-    and the records it keeps, never every record of its files. The records
-    built here hold no reference cycles, so the cyclic collector is paused
-    meanwhile: each collection the load would set off could free nothing.
+    is set, and reads the files one block at a time. The records built here
+    hold no reference cycles, so the cyclic collector is paused meanwhile:
+    each collection the load would set off could free nothing.
     """
     with gc_paused():
-        return ingest_records(chain.from_iterable(map(read_lexicon_file, paths)), table, keep)
+        return ingest_records(_Files(paths), table, keep)
 
 
 class WordIndex:

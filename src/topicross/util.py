@@ -187,6 +187,9 @@ def gc_paused() -> Iterator[None]:
     The collector's prior state, enabled or not, is restored on exit, also
     when the body raises. For a body that allocates many container objects
     but makes no reference cycles, whose collections would free nothing.
+    The pause should end after the body's large structures are freed: every
+    container still alive at its end is young, and the first collection after
+    it walks them all.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -4,9 +4,12 @@ import gc
 import hashlib
 import json
 import sys
+import weakref
+from contextlib import contextmanager
 
 import pytest
 
+from topicross import cli as cli_module, lexicon as lexicon_module, util
 from topicross.cli import main
 
 
@@ -939,6 +942,52 @@ class TestDeterminism:
         assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
             "e34bd43631be047a8c0ca1952ffc91f5dfc3c6f609ebc2c388e7d72b4c2ffe76"
         )
+
+
+class TestCollectorPauseScope:
+    """A command's collector pause ends after the lexicon it loaded is freed:
+    a lexicon still alive when the collector comes back on is walked by the
+    next collection, which can free none of its records."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["generate", "--size", "4x4", "--black", "2", "--target-rate", "0",
+                 "--node-budget", "100000"],
+                id="generate",
+            ),
+            pytest.param(
+                ["sweep", "--size", "4x4", "--black-counts", "2", "--patterns-per-count", "1",
+                 "--t-values", "10", "--node-budget", "1000"],
+                id="sweep",
+            ),
+        ],
+    )
+    def test_lexicon_dies_inside_the_pause(self, workdir, monkeypatch, argv):
+        lexicons = []
+        load = lexicon_module.ingest_lexicon
+
+        def tracked_load(*args, **kwargs):
+            lex = load(*args, **kwargs)
+            lexicons.append(weakref.ref(lex))
+            return lex
+
+        dead_at_exit = []
+        pause = util.gc_paused
+
+        @contextmanager
+        def recording_pause():
+            with pause():
+                yield
+                dead_at_exit.append([ref() is None for ref in lexicons])
+
+        monkeypatch.setattr(lexicon_module, "ingest_lexicon", tracked_load)
+        monkeypatch.setattr(cli_module, "gc_paused", recording_pause)
+        out = workdir / "out"
+        assert run(argv + ["--lexicon", workdir / "filler.txt", "--out", out]) == 0
+        assert out.exists()
+        assert dead_at_exit == [[True]]
 
 
 class TestParserReuse:

@@ -543,10 +543,9 @@ class TestCollectorPause:
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"surface": 5}\n', encoding="utf-8")
         seen = []
-        read = read_lexicon_file
+        read = lexicon_module._file_blocks
         monkeypatch.setattr(
-            "topicross.lexicon.read_lexicon_file",
-            lambda path: seen.append(gc.isenabled()) or read(path),
+            lexicon_module, "_file_blocks", lambda path: seen.append(gc.isenabled()) or read(path)
         )
         was_enabled = gc.isenabled()
         try:
@@ -636,6 +635,72 @@ class TestWordListReader:
         for block_lines in blocks[:-1]:
             size = len("\n".join(block_lines))
             assert size - len(block_lines[-1]) <= block <= size
+
+
+# Lines of a word list for the file-level load: comments ('#', also after
+# padding) and lines that only hold a '#' ('C#'), blank and padding-only lines,
+# ASCII, accented and expanding words, tab, U+3000 and U+00A0 padding.
+WORD_FILE_LINES = st.lists(
+    st.sampled_from(
+        ["ab", "abc", "C#", "#ab", " # c", "", " ", "\u3000", "café", "straße", "Æble",
+         "\u3000ab\u00a0", "\tbach ", "new york", "!?", "a", "é-"]
+    )
+    | st.text("abAé ßÆ#C-\t\u3000\u00a0", max_size=6),
+    max_size=12,
+)
+
+
+class TestFileLoadMatchesPerRecordLoop:
+    """``ingest_lexicon`` on a word-list file against :func:`per_record_ingest`
+    over the file's words, as :func:`split_word_list` defines them."""
+
+    @pytest.mark.parametrize("keep", sorted(ORACLE_KEEPS))
+    @pytest.mark.parametrize("table", sorted(ORACLE_TABLES))
+    @given(
+        block=st.integers(1, 8) | st.just(1 << 16),
+        lines=WORD_FILE_LINES,
+        ends=st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=12, max_size=12),
+        final_newline=st.booleans(),
+        bom=st.booleans(),
+    )
+    # One block with no comment and no blank line, and one that has both.
+    @example(block=1 << 16, lines=["ab", "café", "\u3000bach"], ends=["\n"] * 12,
+             final_newline=True, bom=False)
+    @example(block=1 << 16, lines=["ab", "", "#ab", "C#", "Æble"], ends=["\r\n"] * 12,
+             final_newline=False, bom=True)
+    @settings(max_examples=40, deadline=None)
+    def test_records_stats_and_keep_calls(
+        self, table, keep, block, lines, ends, final_newline, bom
+    ):
+        text = "".join(line + end for line, end in zip(lines, ends))
+        if lines and not final_newline:
+            text = text[: -len(ends[len(lines) - 1])]
+        data = (("\ufeff" if bom else "") + text).encode("utf-8")
+        records = [(word, Source.FILLER, ()) for word in split_word_list(data)]
+        table, keep = ORACLE_TABLES[table], ORACLE_KEEPS[keep]
+
+        def recording(calls):
+            return None if keep is None else lambda answer: calls.append(answer) or keep(answer)
+
+        expected_calls, calls = [], []
+        expected = load_outcome(per_record_ingest, records, table, recording(expected_calls))
+        with tempfile.TemporaryDirectory() as tmp, patch.object(util, "_BLOCK", block):
+            path = Path(tmp) / "words.txt"
+            path.write_bytes(data)
+            assert load_outcome(ingest_lexicon, [path], table, recording(calls)) == expected
+        assert calls == expected_calls
+
+    def test_bad_byte_after_earlier_blocks(self, tmp_path):
+        # The bad byte sits past the first blocks: their answers are loaded
+        # (keep sees them, in order) before the error names the file.
+        words = ["".join(w) for w in product("abcdefgh", repeat=5)][:20_000]
+        path = tmp_path / "words.txt"
+        path.write_bytes("".join(f"{w}\n" for w in words).encode() + b"\xffab\n")
+        calls = []
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: not UTF-8 text: byte 0xff"):
+            ingest_lexicon([path], keep=lambda answer: calls.append(answer) or True)
+        assert 0 < len(calls) < len(words)
+        assert calls == [w.upper() for w in words[: len(calls)]]
 
 
 class TestLazyLoad:

@@ -4,6 +4,11 @@ Subcommands: ingest, patterns, generate, sweep, verify, render.
 Exit codes: 0 success, 1 generation/verification failure, 2 usage or config
 error, 3 I/O or data error. Output files are written atomically, so a failed
 run never leaves partial output behind.
+
+:func:`main` runs each command with the cyclic garbage collector paused: a
+command makes almost no reference cycles, so a collection during it would
+free next to nothing and walk every record it holds. What a command builds
+dies when its handler returns, before the collector comes back on.
 """
 
 from __future__ import annotations
@@ -148,16 +153,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         extractor: pipeline.KeywordFinder = pipeline.PreTaggedExtractor()
     else:
         extractor = pipeline.GazetteerExtractor(lexicon.read_word_list(args.gazetteer))
-    # The corpus, its occurrences and the records make no reference cycles,
-    # so collections during the run would free nothing; the corpus is freed
-    # inside the pause, when build_topic_lexicon returns.
-    with gc_paused():
-        result = pipeline.build_topic_lexicon(
-            pipeline.read_corpus_jsonl(args.corpus), extractor, table, args.mask,
-            args.min_clue_chars,
-        )
-        text = lexicon.write_lexicon_jsonl(result.records)
-    _write_output(args.out, text)
+    result = pipeline.build_topic_lexicon(
+        pipeline.read_corpus_jsonl(args.corpus), extractor, table, args.mask,
+        args.min_clue_chars,
+    )
+    _write_output(args.out, lexicon.write_lexicon_jsonl(result.records))
     print(
         f"ingest: {result.stats.records} records, {result.stats.clues} clues, "
         f"{result.stats.occurrences} occurrences "
@@ -180,8 +180,10 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _fill(args: argparse.Namespace, config: solver.SolverConfig) -> str | None:
-    """The puzzle JSON of a fill of the pattern, or None when the search fails."""
+def cmd_generate(args: argparse.Namespace) -> int:
+    # Usage errors (exit 2) come before any file is read.
+    config = _solver_config(args, args.target_rate)
+    _check_output_dirs(args.out)
     pattern = _resolve_pattern(args)
     slotset = grid.extract_slots(pattern)
     # The search and the clues read only answers of the grid's slot lengths.
@@ -192,22 +194,9 @@ def _fill(args: argparse.Namespace, config: solver.SolverConfig) -> str | None:
     result = solver.solve(slotset, lexicon.build_index(lex), config, maximize=args.max_topic)
     if not result.success:
         print(f"generation failed: {result.status.value}", file=sys.stderr)
-        return None
-    pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
-    return puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
-
-
-def cmd_generate(args: argparse.Namespace) -> int:
-    # Usage errors (exit 2) come before any file is read.
-    config = _solver_config(args, args.target_rate)
-    _check_output_dirs(args.out)
-    # The lexicon, index, search and puzzle make no reference cycles, so a
-    # collection would only walk the kept records; they are freed inside the
-    # pause, when _fill returns. The json encoder's few cycles wait.
-    with gc_paused():
-        text = _fill(args, config)
-    if text is None:
         return EXIT_FAILURE
+    pzl = puzzle.assemble(pattern, slotset, result, lex, clue_seed=args.seed)
+    text = puzzle.puzzle_to_json(pzl, include_solution=not args.solution_free) + "\n"
     _write_output(args.out, text)
     return EXIT_OK
 
@@ -245,8 +234,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # drawn before the lexicon load, so a black count too large for
         # --size is a usage error before any file is read
         patterns = harness.default_sweep_patterns(config)
-    with gc_paused():  # the lexicon is freed inside it, once its index is built
-        index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
+    index = lexicon.build_index(lexicon.ingest_lexicon(args.lexicon, _load_table(args.table)))
     records = harness.run_sweep(config, index, patterns=patterns, jobs=args.jobs)
     harness.write_records_csv(records, args.out)
     if args.summary or args.svg:
@@ -375,19 +363,20 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        # looked up per call, not bound into the cached parser, so that a
-        # handler replaced after the first call is the one that runs
-        return globals()[f"cmd_{args.command}"](args)
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except grid.ExhaustedAttemptsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    with gc_paused():
+        try:
+            # looked up per call, not bound into the cached parser, so that a
+            # handler replaced after the first call is the one that runs
+            return globals()[f"cmd_{args.command}"](args)
+        except (DataError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except grid.ExhaustedAttemptsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
 
 
 if __name__ == "__main__":

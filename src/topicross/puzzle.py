@@ -24,7 +24,7 @@ from .solver import FillResult
 from .util import DataError, derive_seed, enum_field, json_field
 
 GENERATOR_VERSION = "0.1.0"
-PLACEHOLDER_CLUE = "Define: {surface}"
+PLACEHOLDER_CLUE = "({length} letters)"
 
 
 class MissingEntryError(KeyError):
@@ -75,8 +75,8 @@ def assemble(
     """Pair each assigned answer with one of its clues.
 
     The clue is drawn uniformly (seeded) from the answer's clue list; answers
-    without clues get the "Define: <surface>" placeholder. Requires a
-    successful fill.
+    without clues get a placeholder that gives only the answer's length,
+    "(5 letters)", and no letter of it. Requires a successful fill.
     """
     if not result.success:
         raise ValueError(f"cannot assemble from a {result.status.value} result")
@@ -90,7 +90,7 @@ def assemble(
         if record is None:
             raise MissingEntryError(f"assigned answer {answer!r} not in lexicon")
         surface, source, clues = record
-        clue = rng.choice(clues) if clues else PLACEHOLDER_CLUE.format(surface=surface)
+        clue = rng.choice(clues) if clues else PLACEHOLDER_CLUE.format(length=len(answer))
         entries.append(
             PuzzleEntry(
                 slot_id=slot.slot_id,

@@ -190,6 +190,11 @@ def gc_paused() -> Iterator[None]:
     The pause should end after the body's large structures are freed: every
     container still alive at its end is young, and the first collection after
     it walks them all.
+
+    Two callers: ``cli.main`` around each command, and
+    ``lexicon.ingest_lexicon`` around each load. Nested in ``main``'s pause,
+    the load's is a no-op; it stays for library callers, whose loads would
+    otherwise set off collections that walk the records built so far.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -42,7 +42,7 @@ FILLER_LENGTHS = (2, 3, 4, 5, 6, 7)
 
 # sha256 of criterion 6's seeded puzzle JSON and sweep CSV. A change that
 # alters either output on purpose updates these and says why in CHANGES.md.
-CRITERION_6_PUZZLE_SHA256 = "81fce90712d6731ed7aebaa60bf98c50bda7124cbe079818a86460b8ea8e1491"
+CRITERION_6_PUZZLE_SHA256 = "29060663f4af84c55af3955dd09037d4ba0157f8c7f724911f700e4afcf2027a"
 CRITERION_6_SWEEP_SHA256 = "8a83befd407dc8bb4064a42e27a991d27c8586d1e4fbe9e201569893235e6317"
 # sha256 of the topic lexicon that ``ingest`` writes for the seeded corpus of
 # test_ingest_output_digest; the same rule applies.

@@ -9,15 +9,20 @@ from contextlib import contextmanager
 
 import pytest
 
-from topicross import cli as cli_module, lexicon as lexicon_module, util
+from topicross import (
+    cli as cli_module, lexicon as lexicon_module, pipeline as pipeline_module, util,
+)
 from topicross.cli import main
 
 
-@pytest.fixture()
-def workdir(tmp_path):
-    corpus = tmp_path / "corpus.jsonl"
+def write_inputs(directory, copies=1, n_words=4000):
+    """A corpus of ``copies`` times six documents, its six terms, and ``n_words``
+    filler words; a larger list holds every word of a smaller one."""
+    import random
+
+    names = ["Atlas", "Nova", "Iris", "Echo", "Onyx", "Opal"]
     docs = []
-    for i, name in enumerate(["Atlas", "Nova", "Iris", "Echo", "Onyx", "Opal"]):
+    for i, name in enumerate(names * copies):
         docs.append(
             {
                 "doc_id": f"d{i}",
@@ -27,23 +32,25 @@ def workdir(tmp_path):
                 ),
             }
         )
+    corpus = directory / "corpus.jsonl"
     corpus.write_text("".join(json.dumps(d) + "\n" for d in docs), encoding="utf-8")
 
-    terms = tmp_path / "terms.txt"
-    terms.write_text("Atlas\nNova\nIris\nEcho\nOnyx\nOpal\n", encoding="utf-8")
-
-    filler = tmp_path / "filler.txt"
-    import random
+    terms = directory / "terms.txt"
+    terms.write_text("".join(name + "\n" for name in names), encoding="utf-8")
 
     rng = random.Random(9)
     words = set()
-    while len(words) < 4000:
+    while len(words) < n_words:
         n = rng.randint(2, 5)
-        words.add(
-            "".join(rng.choices("ABCDEGHILMNOPRST", weights=None, k=n))
-        )
+        words.add("".join(rng.choices("ABCDEGHILMNOPRST", weights=None, k=n)))
+    filler = directory / "filler.txt"
     filler.write_text("\n".join(sorted(words)) + "\n", encoding="utf-8")
-    return tmp_path
+    return directory
+
+
+@pytest.fixture()
+def workdir(tmp_path):
+    return write_inputs(tmp_path)
 
 
 def run(argv):
@@ -865,7 +872,7 @@ class TestDeterminism:
         assert any(e["source"] == "topic" for e in doc["entries"])
         assert not any("answer" in e or "surface" in e for e in doc["entries"])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "eb3b231bde6b40d8e37f604a3e2a2ece7d62a2bccd59edad4ba9c4ab00f97c22"
+            "91d6a9a3d92225793be8d1c9a14a52af6c667d95731fc3e3eb8423fc3486d785"
         )
 
     def test_generate_ignores_answer_lengths_the_grid_lacks(self, workdir):
@@ -944,50 +951,139 @@ class TestDeterminism:
         )
 
 
+GENERATE_4X4 = [
+    "generate", "--size", "4x4", "--black", "2", "--target-rate", "0", "--node-budget", "100000",
+]
+SWEEP_4X4 = [
+    "sweep", "--size", "4x4", "--black-counts", "2", "--t-values", "10", "--node-budget", "1000",
+]
+
+
+def freed_at_pause_end(monkeypatch, module, name, argv):
+    """The exit code of ``argv`` and, at the end of each collector pause that
+    ``cli`` takes, whether each object ``module.name`` returned is freed."""
+    refs = []
+    build = getattr(module, name)
+
+    def tracked(*args, **kwargs):
+        built = build(*args, **kwargs)
+        refs.append(weakref.ref(built))
+        return built
+
+    freed = []
+    pause = util.gc_paused
+
+    @contextmanager
+    def recording_pause():
+        with pause():
+            yield
+            freed.append([ref() is None for ref in refs])
+
+    monkeypatch.setattr(module, name, tracked)
+    monkeypatch.setattr(cli_module, "gc_paused", recording_pause)
+    return run(argv), freed
+
+
+def cyclic_garbage(argv):
+    """The exit code of ``argv`` and the types of the objects in reference
+    cycles that it leaves, which only the cyclic collector could free."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        code = run(argv)
+        gc.collect()
+        return code, [type(obj) for obj in gc.garbage]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
 class TestCollectorPauseScope:
-    """A command's collector pause ends after the lexicon it loaded is freed:
-    a lexicon still alive when the collector comes back on is walked by the
-    next collection, which can free none of its records."""
+    """Each command runs inside one collector pause, which ends after what the
+    command built is freed: a lexicon still alive when the collector comes back
+    on is walked by the next collection, which can free none of its records.
+    Under that one pause, a command must leave no cyclic garbage that grows
+    with its input, or the pause would hold back a collection worth making."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "setup, argv, built",
         [
             pytest.param(
-                ["generate", "--size", "4x4", "--black", "2", "--target-rate", "0",
-                 "--node-budget", "100000"],
-                id="generate",
+                [], GENERATE_4X4 + ["--lexicon", "filler.txt", "--out", "out"],
+                (lexicon_module, "ingest_lexicon"), id="generate",
             ),
             pytest.param(
-                ["sweep", "--size", "4x4", "--black-counts", "2", "--patterns-per-count", "1",
-                 "--t-values", "10", "--node-budget", "1000"],
-                id="sweep",
+                [], SWEEP_4X4 + ["--patterns-per-count", "1", "--lexicon", "filler.txt",
+                                 "--out", "out"],
+                (lexicon_module, "ingest_lexicon"), id="sweep",
+            ),
+            pytest.param(
+                GENERATE_4X4 + ["--lexicon", "filler.txt", "--out", "pz.json"],
+                ["verify", "--puzzle", "pz.json", "--lexicon", "filler.txt"],
+                (lexicon_module, "ingest_lexicon"), id="verify",
+            ),
+            pytest.param(
+                [], ["ingest", "--corpus", "corpus.jsonl", "--gazetteer", "terms.txt",
+                     "--out", "out"],
+                (pipeline_module, "build_topic_lexicon"), id="ingest",
             ),
         ],
     )
-    def test_lexicon_dies_inside_the_pause(self, workdir, monkeypatch, argv):
-        lexicons = []
-        load = lexicon_module.ingest_lexicon
+    def test_lexicon_dies_inside_the_pause(self, workdir, monkeypatch, setup, argv, built):
+        # ingest builds its topic lexicon's records as a PipelineResult
+        monkeypatch.chdir(workdir)
+        if setup:
+            assert run(setup) == 0
+        assert freed_at_pause_end(monkeypatch, *built, argv) == (0, [[True]])
+        if "--out" in argv:
+            assert (workdir / argv[argv.index("--out") + 1]).exists()
 
-        def tracked_load(*args, **kwargs):
-            lex = load(*args, **kwargs)
-            lexicons.append(weakref.ref(lex))
-            return lex
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failed_command_restores_the_collector_state(self, workdir, monkeypatch, enabled):
+        monkeypatch.chdir(workdir)
+        (workdir / "bad.jsonl").write_text('{"surface": "AB"\n', encoding="utf-8")
+        argv = GENERATE_4X4 + ["--lexicon", "bad.jsonl", "--out", "out"]
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run(argv) == 3
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert not (workdir / "out").exists()
 
-        dead_at_exit = []
-        pause = util.gc_paused
-
-        @contextmanager
-        def recording_pause():
-            with pause():
-                yield
-                dead_at_exit.append([ref() is None for ref in lexicons])
-
-        monkeypatch.setattr(lexicon_module, "ingest_lexicon", tracked_load)
-        monkeypatch.setattr(cli_module, "gc_paused", recording_pause)
-        out = workdir / "out"
-        assert run(argv + ["--lexicon", workdir / "filler.txt", "--out", out]) == 0
-        assert out.exists()
-        assert dead_at_exit == [[True]]
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path, monkeypatch):
+        commands = {
+            "ingest": ["ingest", "--corpus", "corpus.jsonl", "--gazetteer", "terms.txt",
+                       "--out", "topic.jsonl"],
+            "generate": GENERATE_4X4 + ["--lexicon", "topic.jsonl", "filler.txt",
+                                        "--out", "pz.json"],
+            "verify": ["verify", "--puzzle", "pz.json", "--lexicon", "topic.jsonl",
+                       "filler.txt"],
+        }
+        for jobs in ("1", "2"):
+            commands[f"sweep --jobs {jobs}"] = SWEEP_4X4 + [
+                "--lexicon", "topic.jsonl", "filler.txt", "--jobs", jobs, "--out", "s.csv",
+                "--summary", "s.json",
+            ]
+        counts = {}
+        for size, copies, n_words, patterns in (("small", 1, 2000, "2"), ("large", 4, 8000, "4")):
+            (tmp_path / size).mkdir()
+            monkeypatch.chdir(write_inputs(tmp_path / size, copies, n_words))
+            for command, argv in commands.items():
+                if command.startswith("sweep"):
+                    argv = argv + ["--patterns-per-count", patterns]
+                if size == "small":
+                    # a first call builds what a process builds once, whatever
+                    # the input: the parser, and the types of a first pool
+                    run(argv)
+                code, cyclic = cyclic_garbage(argv)
+                assert code == 0, command
+                counts[command, size] = len(cyclic)
+        for command in commands:
+            assert counts[command, "small"] == counts[command, "large"], command
 
 
 class TestParserReuse:
@@ -1000,18 +1096,9 @@ class TestParserReuse:
             "--node-budget", "100000", "--out", workdir / "puzzle.json",
         ]
         assert run(argv) == 0
-        flags = gc.get_debug()
-        gc.collect()
-        gc.garbage.clear()
-        gc.set_debug(gc.DEBUG_SAVEALL)
-        try:
-            assert run(argv) == 0
-            gc.collect()
-            cyclic = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
-        finally:
-            gc.set_debug(flags)
-            gc.garbage.clear()
-        assert cyclic == []
+        code, cyclic = cyclic_garbage(argv)
+        assert code == 0
+        assert [kind.__name__ for kind in cyclic if kind.__module__ == "argparse"] == []
 
     def test_handler_is_looked_up_per_call(self, workdir, monkeypatch):
         argv = ["patterns", "--size", "4x4", "--black", "2", "--out", workdir / "p.txt"]

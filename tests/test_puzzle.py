@@ -72,7 +72,7 @@ class TestAssemble:
     def test_placeholder_for_clueless_filler(self):
         *_, puzzle = solved_puzzle("..\n..", FOUR_WORDS)
         by_answer = {e.answer: e for e in puzzle.entries}
-        assert by_answer["CD"].clue == "Define: CD"
+        assert by_answer["CD"].clue == "(2 letters)"
 
     def test_metadata_populated(self):
         pattern, slotset, result, lexicon, puzzle = solved_puzzle("..\n..", FOUR_WORDS)

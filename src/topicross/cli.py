@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable, TypeVar
@@ -217,6 +218,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+    # a file named by two output options would keep only the last one written
+    named: dict[str, str] = {}  # real path -> the first option naming it
+    for option, path in (("--out", args.out), ("--summary", args.summary), ("--svg", args.svg)):
+        if path is not None:
+            first = named.setdefault(os.path.realpath(path), option)
+            if first != option:
+                raise ValueError(f"{first} and {option} both name {path}")
     _check_output_dirs(args.out, args.summary, args.svg)
     if args.patterns:
         patterns = _parse_file(args.patterns, grid.parse_pattern_file)

@@ -135,9 +135,10 @@ def _pool_task(pattern: GridPattern) -> list[ExperimentRecord]:
 
 
 def default_sweep_patterns(config: SweepConfig) -> list[GridPattern]:
-    """The seeded random pattern set implied by a sweep config."""
+    """The seeded random pattern set implied by a sweep config: each distinct
+    black count's patterns once, in first-seen order."""
     patterns = []
-    for n_black in config.black_counts:
+    for n_black in dict.fromkeys(config.black_counts):
         patterns.extend(
             generate_random_patterns(
                 config.height,

@@ -212,15 +212,6 @@ def normalize(surface: str, table: NormalizationTable = DEFAULT_TABLE) -> str:
     return answer
 
 
-@dataclass(frozen=True)
-class IngestStats:
-    topic: int
-    filler: int
-    skipped_short: int = 0
-    skipped_unmappable: int = 0
-    collisions: int = 0
-
-
 # Records one block of a load holds when they are read one by one.
 _SLICE = 8192
 
@@ -233,16 +224,10 @@ Record = tuple[str, Source, tuple[str, ...]]
 Block = tuple[list[str], str, list[Record] | None]
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    """At most one record per answer: ``records[answer]`` is its merged
-    ``(surface, source, clues)``, and ``records.get(answer)`` is the lookup."""
-
-    records: dict[str, Record]
-    stats: IngestStats
-
-    def __len__(self) -> int:
-        return len(self.records)
+# A lexicon: at most one record per answer. ``lexicon[answer]`` is the
+# answer's merged (surface, source, clues), and ``lexicon.get(answer)`` is the
+# lookup.
+Lexicon = dict[str, Record]
 
 
 def _word_list_blocks(path: str | Path) -> Iterator[Block]:
@@ -327,12 +312,11 @@ class _Files(tuple):
     blocks: every load, of files or of records, is one ingest_records call."""
 
 
-def _answers(surfaces: list[str], joined: str, table: NormalizationTable) -> tuple[list[str], int]:
+def _answers(surfaces: list[str], joined: str, table: NormalizationTable) -> list[str]:
     """Each surface's answer, shorter than two letters for one that does not
-    normalize, and how many surfaces were unmappable. ``joined``, the
-    surfaces' join with ``"\\n"``, is translated as the module docstring
-    says, unless a surface is empty or holds ``"\\n"``: then every surface
-    gets its own :func:`normalize` call."""
+    normalize. ``joined``, the surfaces' join with ``"\\n"``, is translated
+    as the module docstring says, unless a surface is empty or holds
+    ``"\\n"``: then every surface gets its own :func:`normalize` call."""
     answers: list[str] = []
     redo: Iterable[str] = ()
     if table._pattern is None and table.drop_policy == SKIP and all(surfaces):
@@ -345,7 +329,6 @@ def _answers(surfaces: list[str], joined: str, table: NormalizationTable) -> tup
     if len(answers) != len(surfaces):
         answers = [""] * len(surfaces)
         redo = surfaces
-    unmappable = 0
     find = surfaces.index
     i = -1
     for surface in redo:
@@ -353,12 +336,9 @@ def _answers(surfaces: list[str], joined: str, table: NormalizationTable) -> tup
         i = find(surface, i + 1)
         try:
             answers[i] = normalize(surface, table)
-        except TooShortError:
+        except (TooShortError, UnmappableCharacterError):
             answers[i] = ""
-        except UnmappableCharacterError:
-            answers[i] = ""
-            unmappable += 1
-    return answers, unmappable
+    return answers
 
 
 def ingest_records(
@@ -366,29 +346,24 @@ def ingest_records(
     table: NormalizationTable = DEFAULT_TABLE,
     keep: Callable[[str], bool] | None = None,
 ) -> Lexicon:
-    """Normalize and deduplicate records into a Lexicon.
+    """Normalize and deduplicate records into a lexicon: a dict from answer
+    to merged record.
 
     ``records`` is iterated once, ``_SLICE`` records at a time, so an
     iterator such as :func:`read_lexicon_file`'s is never held whole.
     Collisions on the same answer keep the topic tag when either side has it,
     and union the clue lists in first-seen order. Records that fail
-    normalization are skipped and counted, never fatal.
+    normalization are skipped, never fatal.
 
     With ``keep`` set, every record is still normalized, and ``keep`` is
     called once on each record's answer that has at least two letters, in
     record order, repeats included. A record whose answer fails ``keep`` is
     dropped before the merge: each kept answer gets the same record as in an
-    unfiltered load. The ``skipped_short`` and ``skipped_unmappable`` stats
-    then still count every record, while ``topic``, ``filler`` and
-    ``collisions`` count only the kept answers.
+    unfiltered load.
 
     :func:`ingest_lexicon` passes its files as ``records``, read by blocks.
     """
-    merged: dict[str, Record] = {}
-    skipped_short = 0
-    skipped_unmappable = 0
-    collisions = 0
-    topic = 0
+    merged: Lexicon = {}
     # Bound once, outside the per-record loop: a global or enum-member lookup
     # costs several times a local one.
     get = merged.get
@@ -399,14 +374,12 @@ def ingest_records(
     else:
         blocks = _record_blocks(records)
     for surfaces, joined, chunk in blocks:
-        answers, unmappable = _answers(surfaces, joined, table)
-        skipped_unmappable += unmappable
+        answers = _answers(surfaces, joined, table)
         picked: Iterable = surfaces if chunk is None else chunk
         if min(map(len, answers)) < 2:
             long_enough = list(map(operator.le, repeat(2), map(len, answers)))
             answers = list(compress(answers, long_enough))
             picked = compress(picked, long_enough)
-        skipped_short += len(surfaces) - len(answers) - unmappable
         if keep is not None:
             kept = list(map(keep, answers))
             answers = compress(answers, kept)
@@ -417,20 +390,16 @@ def ingest_records(
             existing = get(answer)
             if existing is None:
                 merged[answer] = record
-                topic += record[1] is topic_tag
                 continue
-            collisions += 1
             surface, source, clues = record
             kept_surface, kept_source, kept_clues = existing
             if kept_source is filler_tag and source is topic_tag:
                 kept_surface, kept_source = surface, source
-                topic += 1
             clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
             merged[answer] = (kept_surface, kept_source, clues)
         # unbound before the next block is read: a load holds one, never two
         del surfaces, joined, chunk, answers, picked
-    stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
-    return Lexicon(records=merged, stats=stats)
+    return merged
 
 
 def ingest_lexicon(
@@ -475,7 +444,7 @@ class WordIndex:
         topic: defaultdict[int, list[str]] = defaultdict(list)
         filler: defaultdict[int, list[str]] = defaultdict(list)
         topic_tag = Source.TOPIC
-        for answer, (_, source, _) in lexicon.records.items():
+        for answer, (_, source, _) in lexicon.items():
             (topic if source is topic_tag else filler)[len(answer)].append(answer)
         self.by_length: dict[int, tuple[str, ...]] = {}
         self.topic_count: dict[int, int] = {}

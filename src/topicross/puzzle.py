@@ -86,7 +86,7 @@ def assemble(
         answer = result.assignment.get(slot.slot_id)
         if answer is None:
             raise MissingEntryError(f"slot {slot.slot_id} has no assignment")
-        record = lexicon.records.get(answer)
+        record = lexicon.get(answer)
         if record is None:
             raise MissingEntryError(f"assigned answer {answer!r} not in lexicon")
         surface, source, clues = record
@@ -183,7 +183,7 @@ def verify_puzzle(puzzle: Puzzle, lexicon: Lexicon, target_rate: int) -> Validat
 
     topic = 0
     for entry in puzzle.entries:
-        record = lexicon.records.get(entry.answer)
+        record = lexicon.get(entry.answer)
         if record is None:
             violations.append(
                 Violation("not-in-lexicon", f"{entry.answer!r} is not a known answer")

@@ -270,6 +270,22 @@ class TestExitCodes:
                 "n_black must be in [0, 4)",
                 id="--black-counts-n_black must be in [0, 4)",
             ),
+            # two output options that name one file, however it is spelled
+            pytest.param(
+                [*SWEEP_MISSING, "--summary", "out.txt"],
+                "error: --out and --summary both name out.txt\n",
+                id="--summary-error: --out and --summary both name out.txt",
+            ),
+            pytest.param(
+                [*SWEEP_MISSING, "--svg", "./out.txt"],
+                "error: --out and --svg both name ./out.txt\n",
+                id="--svg-error: --out and --svg both name ./out.txt",
+            ),
+            pytest.param(
+                [*SWEEP_MISSING, "--summary", "s.json", "--svg", "s.json"],
+                "error: --summary and --svg both name s.json\n",
+                id="--svg-error: --summary and --svg both name s.json",
+            ),
             pytest.param(
                 [*GENERATE_MISSING, "--node-budget", "0"], "node_budget must be >= 1",
                 id="--node-budget-node_budget must be >= 1",
@@ -907,6 +923,18 @@ class TestDeterminism:
         assert run(args + ["--out", b, "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_sweep_repeated_black_count_writes_each_row_once(self, workdir):
+        args = [
+            "sweep", "--size", "2x3", "--patterns-per-count", "1", "--t-values", "0",
+            "--lexicon", workdir / "filler.txt", "--node-budget", "1000",
+        ]
+        once, twice = workdir / "once.csv", workdir / "twice.csv"
+        assert run(args + ["--black-counts", "1", "--out", once]) == 0
+        assert run(args + ["--black-counts", "1,1", "--out", twice]) == 0
+        rows = twice.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 2 and rows[1].startswith("2x3-b1-000,1,0,")
+        assert twice.read_bytes() == once.read_bytes()
+
     def test_sweep_summary_and_svg(self, workdir):
         csv_out = workdir / "records.csv"
         summary = workdir / "summary.json"
@@ -959,6 +987,10 @@ SWEEP_4X4 = [
 ]
 
 
+class WeakrefableDict(dict):
+    """A dict that, unlike a plain one, can be the target of a weakref."""
+
+
 def freed_at_pause_end(monkeypatch, module, name, argv):
     """The exit code of ``argv`` and, at the end of each collector pause that
     ``cli`` takes, whether each object ``module.name`` returned is freed."""
@@ -967,6 +999,9 @@ def freed_at_pause_end(monkeypatch, module, name, argv):
 
     def tracked(*args, **kwargs):
         built = build(*args, **kwargs)
+        if type(built) is dict:
+            # a plain dict takes no weakref; the command gets a copy that does
+            built = WeakrefableDict(built)
         refs.append(weakref.ref(built))
         return built
 

@@ -10,6 +10,7 @@ from topicross.harness import (
     ExperimentRecord,
     SchemaMismatchError,
     SweepConfig,
+    default_sweep_patterns,
     five_number,
     read_records_csv,
     records_to_csv,
@@ -126,6 +127,15 @@ class TestRunSweep:
         records = run_sweep(config, small_index, patterns=patterns, jobs=jobs)
         assert sizes == ([] if pool_size is None else [pool_size])
         assert records == run_sweep(config, small_index, patterns=patterns, jobs=1)
+
+    def test_repeated_black_count_draws_its_patterns_once(self, small_index):
+        # as a repeated target rate is walked once per pattern
+        config = small_config(black_counts=(3, 2, 3, 2))
+        distinct = small_config(black_counts=(3, 2))
+        ids = [p.pattern_id for p in default_sweep_patterns(config)]
+        assert ids == [p.pattern_id for p in default_sweep_patterns(distinct)]
+        assert ids == ["4x4-b3-000", "4x4-b3-001", "4x4-b2-000", "4x4-b2-001"]
+        assert run_sweep(config, small_index) == run_sweep(distinct, small_index)
 
     def test_trials_per_cell(self, small_index):
         config = small_config(trials_per_cell=3, early_stop=False, t_values=(10,))

@@ -19,8 +19,6 @@ from topicross.lexicon import (
     DEFAULT_TABLE,
     REJECT,
     SKIP,
-    IngestStats,
-    Lexicon,
     NormalizationTable,
     Source,
     TooShortError,
@@ -41,7 +39,7 @@ def lex(records):
 
 def all_entries(lexicon):
     """Every ``(answer, (surface, source, clues))`` of ``lexicon``, sorted by answer."""
-    return sorted(lexicon.records.items())
+    return sorted(lexicon.items())
 
 
 class TestNormalize:
@@ -197,9 +195,10 @@ class TestIngest:
                 ("atoll", Source.FILLER, []),
             ]
         )
-        assert sorted(lexicon.records) == ["ATOLL", "LIBERAL"]
-        assert lexicon.records["LIBERAL"] == ("liberal", Source.TOPIC, ("news clue",))
-        assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
+        assert lexicon == {
+            "LIBERAL": ("liberal", Source.TOPIC, ("news clue",)),
+            "ATOLL": ("atoll", Source.FILLER, ()),
+        }
 
     def test_topic_wins_even_when_filler_first(self):
         lexicon = lex(
@@ -208,12 +207,11 @@ class TestIngest:
                 ("Liberal", Source.TOPIC, ["news clue"]),
             ]
         )
-        assert lexicon.records["LIBERAL"] == ("Liberal", Source.TOPIC, ("dict clue", "news clue"))
-        assert lexicon.stats.collisions == 1
+        assert lexicon == {"LIBERAL": ("Liberal", Source.TOPIC, ("dict clue", "news clue"))}
 
     def test_counts_empty_topic(self):
         lexicon = lex([(w, Source.FILLER, []) for w in ["aa", "bb", "cc"]])
-        assert (lexicon.stats.topic, lexicon.stats.filler) == (0, 3)
+        assert [source for _, source, _ in lexicon.values()] == [Source.FILLER] * 3
 
     def test_skip_counters(self):
         lexicon = lex(
@@ -223,8 +221,7 @@ class TestIngest:
                 ("ok", Source.FILLER, []),
             ]
         )
-        assert len(lexicon) == 1
-        assert lexicon.stats.skipped_short == 2
+        assert lexicon == {"OK": ("ok", Source.FILLER, ())}
 
     def test_filtered_load(self):
         records = [
@@ -239,33 +236,30 @@ class TestIngest:
         table = replace(DEFAULT_TABLE, drop_policy=REJECT)
         full = ingest_records(records, table)
         filtered = ingest_records(records, table, {"LIBERAL", "ZZ"}.__contains__)
-        assert list(filtered.records) == ["LIBERAL"]
-        assert filtered.records["LIBERAL"] == full.records["LIBERAL"]
-        # the skip counters cover every record, the rest only the kept answers
-        assert (full.stats.skipped_short, full.stats.skipped_unmappable) == (1, 1)
-        assert filtered.stats == replace(full.stats, topic=1, filler=0, collisions=1)
-        assert full.stats.collisions == 2
+        # the short and the unmappable surface are skipped, the rest merged:
+        # the topic spelling wins and the clues are unioned in first-seen order
+        assert list(full.items()) == [
+            ("ATOLL", ("atoll", Source.FILLER, ())),
+            ("LIBERAL", ("Libéral", Source.TOPIC, ("dict clue", "news clue"))),
+            ("OK", ("ok", Source.TOPIC, ())),
+        ]
+        assert filtered == {"LIBERAL": full["LIBERAL"]}
 
     def test_entries_sorted_and_deduped(self):
         rng = random.Random(5)
         words = ["".join(rng.choices("abcde", k=3)) for _ in range(200)]
         lexicon = lex([(w, Source.FILLER, []) for w in words])
         # one record per distinct answer, in first-seen order
-        assert list(lexicon.records) == list(dict.fromkeys(w.upper() for w in words))
+        assert list(lexicon) == list(dict.fromkeys(w.upper() for w in words))
 
 
 def reference_ingest(records, table, keep):
     """The merge as one ``(surface, source, clues)`` per answer, rebuilt on each collision."""
     merged = {}
-    short = unmappable = collisions = 0
     for surface, source, clues in records:
         try:
             answer = normalize(surface, table)
-        except TooShortError:
-            short += 1
-            continue
-        except UnmappableCharacterError:
-            unmappable += 1
+        except (TooShortError, UnmappableCharacterError):
             continue
         if keep is not None and not keep(answer):
             continue
@@ -273,15 +267,13 @@ def reference_ingest(records, table, keep):
         if old is None:
             merged[answer] = (surface, source, clues)
             continue
-        collisions += 1
         old_surface, old_source, old_clues = old
         union = old_clues + tuple(c for c in clues if c not in old_clues)
         if old_source is Source.FILLER and source is Source.TOPIC:
             merged[answer] = (surface, Source.TOPIC, union)
         else:
             merged[answer] = (old_surface, old_source, union)
-    topic = sum(source is Source.TOPIC for _, source, _ in merged.values())
-    return merged, IngestStats(topic, len(merged) - topic, short, unmappable, collisions)
+    return merged
 
 
 # "é", "E" and "e" all normalize to "E"; "-" is dropped or, under 'reject',
@@ -323,12 +315,11 @@ class TestIngestMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_lookup_stats_and_index(self, records, policy, keep):
         table = replace(DEFAULT_TABLE, drop_policy=policy)
-        expected, stats = reference_ingest(records, table, keep)
+        expected = reference_ingest(records, table, keep)
         lexicon = ingest_records(records, table, keep)
-        assert lexicon.stats == stats
         assert len(lexicon) == len(expected)
         for answer, record in expected.items():
-            assert lexicon.records.get(answer) == record
+            assert lexicon.get(answer) == record
         assert all_entries(lexicon) == sorted(expected.items())
         # the entries equal the reference's, so this checks the index against it
         assert_index_matches_definition(lexicon, build_index(lexicon))
@@ -338,45 +329,33 @@ def per_record_ingest(records, table=DEFAULT_TABLE, keep=None):
     """The load as one :func:`normalize` call per record: the loop
     ``ingest_records`` ran before it normalized in columns, kept as its oracle."""
     merged = {}
-    skipped_short = 0
-    skipped_unmappable = 0
-    collisions = 0
-    topic = 0
     for record in records:
         surface, source, clues = record
         try:
             answer = normalize(surface, table)
-        except TooShortError:
-            skipped_short += 1
-            continue
-        except UnmappableCharacterError:
-            skipped_unmappable += 1
+        except (TooShortError, UnmappableCharacterError):
             continue
         if keep is not None and not keep(answer):
             continue
         existing = merged.get(answer)
         if existing is None:
             merged[answer] = record
-            topic += source is Source.TOPIC
             continue
-        collisions += 1
         kept_surface, kept_source, kept_clues = existing
         if kept_source is Source.FILLER and source is Source.TOPIC:
             kept_surface, kept_source = surface, source
-            topic += 1
         clues = kept_clues + tuple(c for c in clues if c not in kept_clues)
         merged[answer] = (kept_surface, kept_source, clues)
-    stats = IngestStats(topic, len(merged) - topic, skipped_short, skipped_unmappable, collisions)
-    return Lexicon(records=merged, stats=stats)
+    return merged
 
 
 def load_outcome(load, records, table, keep):
-    """The records in insertion order and the stats, or the error a load raised."""
+    """The records in insertion order, or the error a load raised."""
     try:
         lexicon = load(records, table, keep)
     except ValueError as exc:
         return type(exc), str(exc)
-    return list(lexicon.records.items()), lexicon.stats
+    return list(lexicon.items())
 
 
 # ASCII, accented, expanding (ß, Æ), padded, '#'-leading and punctuation-only
@@ -436,7 +415,7 @@ class TestColumnLoadMatchesPerRecordLoop:
 
     def test_embedded_newline_joins_the_words(self):
         lexicon = ingest_records([("new\nyork", Source.FILLER, ()), ("ab", Source.FILLER, ())])
-        assert list(lexicon.records) == ["NEWYORK", "AB"]
+        assert list(lexicon) == ["NEWYORK", "AB"]
 
     def test_empty_surface_raises(self):
         with pytest.raises(ValueError, match="surface must be non-empty"):
@@ -517,8 +496,7 @@ class TestLexiconFiles:
         assert list(read_word_list(path)) == ["AB", "CD"]
         # Kept as part of the first word, the mark is unmappable under 'reject'.
         lexicon = ingest_lexicon([path], replace(DEFAULT_TABLE, drop_policy=REJECT))
-        assert sorted(lexicon.records) == ["AB", "CD"]
-        assert lexicon.stats.skipped_unmappable == 0
+        assert sorted(lexicon) == ["AB", "CD"]
 
     def test_jsonl_byte_order_mark(self, tmp_path):
         path = tmp_path / "topic.jsonl"
@@ -531,8 +509,10 @@ class TestLexiconFiles:
         filler = tmp_path / "f.txt"
         filler.write_text("liberal\natoll\n", encoding="utf-8")
         lexicon = ingest_lexicon([topic, filler])
-        assert (lexicon.stats.topic, lexicon.stats.filler) == (1, 1)
-        assert lexicon.records["LIBERAL"] == ("liberal", Source.TOPIC, ())
+        assert lexicon == {
+            "LIBERAL": ("liberal", Source.TOPIC, ()),
+            "ATOLL": ("atoll", Source.FILLER, ()),
+        }
 
 
 class TestCollectorPause:
@@ -737,7 +717,7 @@ class TestLazyLoad:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert len(lexicon) == 0 and lexicon.stats.skipped_short == 0
+        assert lexicon == {}
         assert peak < held / 2, (peak, held)
 
 
@@ -847,11 +827,11 @@ class TestWordIndex:
             for w in sorted(words)
         ]
         ingested = ingest_records(records, table)
-        # Lexicon does not order its records; hand the index a shuffled dict
-        items = list(ingested.records.items())
+        # a lexicon does not order its records; hand the index a shuffled dict
+        items = list(ingested.items())
         rng.shuffle(items)
-        lexicon = Lexicon(records=dict(items), stats=ingested.stats)
-        assert list(lexicon.records) != sorted(lexicon.records)
+        lexicon = dict(items)
+        assert list(lexicon) != sorted(lexicon)
         index = build_index(lexicon)
         assert {letter for (_, _, letter) in index.masks} == {"Ñ", "Ω", "Ж", "A"}
         assert max(len(pool) for pool in index.by_length.values()) > 64
@@ -860,7 +840,7 @@ class TestWordIndex:
     def test_matches_naive_filter_on_random_queries(self):
         lexicon, index = _random_lexicon_index(seed=23)
         rng = random.Random(99)
-        answers = sorted(lexicon.records)
+        answers = sorted(lexicon)
         for _ in range(10_000):
             length = rng.randint(2, 6)
             fixed = {
@@ -895,7 +875,7 @@ def assert_index_matches_definition(lexicon, index):
         topic = sum(source is Source.TOPIC for _, (_, source, _) in of_length)
         assert index.topic_count[length] == topic
         assert all(
-            lexicon.records[answer][1] is (Source.TOPIC if rank < topic else Source.FILLER)
+            lexicon[answer][1] is (Source.TOPIC if rank < topic else Source.FILLER)
             for rank, answer in enumerate(index.by_length[length])
         )
     for (length, pos, letter), mask in index.masks.items():
@@ -953,10 +933,8 @@ ALPHABET_SIZES = [1, 2, 3, 4, 5, 8, 9, 16, 17, 26]
 
 
 def lexicon_of(words_by_source):
-    """A Lexicon whose answers are ``words_by_source``'s keys, unnormalized."""
-    records = {word: (word, source, ()) for word, source in words_by_source.items()}
-    topic = sum(source is Source.TOPIC for source in words_by_source.values())
-    return Lexicon(records=records, stats=IngestStats(topic, len(records) - topic))
+    """A lexicon whose answers are ``words_by_source``'s keys, unnormalized."""
+    return {word: (word, source, ()) for word, source in words_by_source.items()}
 
 
 @st.composite

@@ -243,7 +243,7 @@ class TestVerify:
             # ``split`` is a filler in one file and a topic word in the other;
             # ``accented`` is reachable only through normalization.
             first, second = [], []
-            for answer, (_, source, _) in sorted(lexicon.records.items()):
+            for answer, (_, source, _) in sorted(lexicon.items()):
                 if answer == split:
                     first.append({"surface": split.lower(), "source": "filler", "clues": ["f"]})
                     second.append({"surface": split, "source": "topic", "clues": ["t", "f"]})
@@ -268,7 +268,7 @@ class TestVerify:
                 tampered = replace(puzzle, entries=tuple(entries[:i] + [changed] + entries[i + 1:]))
                 answers = {e.answer for e in tampered.entries}
                 filtered = ingest_lexicon(paths, keep=answers.__contains__)
-                assert set(filtered.records) <= answers
+                assert set(filtered) <= answers
                 for target_rate in (0, 50, 100):
                     assert verify_puzzle(tampered, filtered, target_rate) == verify_puzzle(
                         tampered, full, target_rate

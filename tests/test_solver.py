@@ -684,7 +684,7 @@ class TestAgainstOracle:
 class TestMaximizeTopicRate:
     def test_all_topic_lexicon(self, tiny_lexicon):
         lexicon, _ = tiny_lexicon
-        records = [(answer, Source.TOPIC, ()) for answer in sorted(lexicon.records)]
+        records = [(answer, Source.TOPIC, ()) for answer in sorted(lexicon)]
         index = build_index(ingest_records(records))
         slotset = extract_slots(parse_pattern("..\n.."))
         result = solve(slotset, index, UNLIMITED, maximize=True)
